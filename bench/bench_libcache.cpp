@@ -1,7 +1,7 @@
 // bench_libcache — compiled-library cache: cold compile vs warm load.
 //
 // For each configuration (the lib2-like 27-gate library, base and
-// supergate-depth-2), measures:
+// supergate-depth-2, and the 625-gate 44-3 library, base), measures:
 //
 //   cold  — parse_genlib + (optional supergate generation) + GateLibrary
 //           build + pattern pre-index + NPN classes (compile_library);
@@ -10,7 +10,8 @@
 //
 // Verifies the warm bundle is usable (bit-identical mapping artifact
 // hash on a small circuit against the cold bundle), and writes one JSON
-// object per configuration into BENCH_libcache.json.  The serve-mode
+// object per configuration into BENCH_libcache.json, stamped with the
+// git revision, build type, compiler and hardware_concurrency.  The serve-mode
 // promise is the `speedup` column: warm load must beat cold compile by
 // >= 10x on the supergate-depth-2 configuration (that is where the cold
 // cost lives — generation enumerates thousands of compositions).
@@ -24,11 +25,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/dag_mapper.hpp"
 #include "decomp/tech_decomp.hpp"
 #include "gen/circuits.hpp"
+#include "io/genlib.hpp"
 #include "libcache/compiled_library.hpp"
 #include "library/standard_libs.hpp"
 
@@ -43,26 +46,49 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 struct Config {
   const char* name;
+  const std::string* genlib_text;
   unsigned depth;
   unsigned cold_reps;  ///< cold compile repetitions (cheap configs repeat)
 };
+
+/// `git describe --always --dirty` of the working directory, or
+/// "unknown" outside a checkout.
+std::string git_revision() {
+  std::string rev;
+  if (FILE* p = popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, p) != nullptr) rev += buf;
+    pclose(p);
+  }
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r'))
+    rev.pop_back();
+  return rev.empty() ? "unknown" : rev;
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path = argc > 1 ? argv[1] : "BENCH_libcache.json";
-  const std::string& genlib_text = lib2_genlib_text();
+  const std::string lib44_text = write_genlib(make_44_genlib(3));
   std::string artifact_path = out_path + ".dmlc.tmp";
 
   // The subject the correctness cross-check maps (small, fixed seed).
   Network circuit = make_random_dag(8, 64, 4, 0x11BCACE);
   Network subject = tech_decompose(circuit);
 
-  std::string json = "{\"bench\": \"libcache\", \"configs\": [";
+  std::string json = "{\"bench\": \"libcache\", \"meta\": {\"git_sha\": \"" +
+                     git_revision() + "\", \"build_type\": \"" +
+                     DAGMAP_BUILD_TYPE + "\", \"compiler\": \"" +
+                     DAGMAP_COMPILER + "\", \"hardware_concurrency\": " +
+                     std::to_string(std::thread::hardware_concurrency()) +
+                     "}, \"configs\": [";
   bool ok = true;
   bool first = true;
   bool depth2_meets_10x = false;
-  for (Config cfg : {Config{"lib2_base", 0, 5}, Config{"lib2_super2", 2, 1}}) {
+  for (Config cfg : {Config{"lib2_base", &lib2_genlib_text(), 0, 5},
+                     Config{"lib2_super2", &lib2_genlib_text(), 2, 1},
+                     Config{"lib44_3_base", &lib44_text, 0, 5}}) {
+    const std::string& genlib_text = *cfg.genlib_text;
     LibCompileOptions copt;
     copt.supergate_depth = cfg.depth;
 

@@ -1,5 +1,6 @@
 #include "decomp/isop.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "netlist/assert.hpp"
@@ -13,76 +14,111 @@ unsigned Cube::num_literals() const {
 
 namespace {
 
-// Negative/positive cofactor w.r.t. variable `var`, expressed over the
-// same variable set (the variable becomes a don't-care input).
-TruthTable cofactor(const TruthTable& f, unsigned var, bool value) {
-  TruthTable r(f.num_vars());
-  std::size_t vbit = std::size_t{1} << var;
-  for (std::size_t m = 0; m < f.num_minterms(); ++m) {
-    std::size_t src = value ? (m | vbit) : (m & ~vbit);
-    if (f.bit(src)) r.set_bit(m, true);
-  }
-  return r;
+using Word = std::uint64_t;
+
+// Tables are raw word arrays in TruthTable::words() layout: words(n)
+// words for `n` variables, bits past 2^n zero below six variables.
+std::size_t words(unsigned n) { return n <= 6 ? 1 : std::size_t{1} << (n - 6); }
+Word low_bits(unsigned n) {  // the low 2^n bits of a word
+  return n >= 6 ? ~Word{0} : (Word{1} << (std::size_t{1} << n)) - 1;
 }
 
-// Minato–Morreale: returns a cover C with L <= C <= U.
-std::vector<Cube> isop_rec(const TruthTable& lower, const TruthTable& upper,
-                           unsigned top, TruthTable* cover_tt) {
-  unsigned nv = lower.num_vars();
-  if (lower.is_const0()) {
-    *cover_tt = TruthTable::constant(false, nv);
-    return {};
+// Minato–Morreale over the interval [L, U] of functions of `n`
+// variables: appends an irredundant cover C, L <= C <= U, to `cubes` and
+// writes C's table to `g`.  After a split on the top variable `var` that
+// either bound depends on, every sub-problem is a function of variables
+// 0..var-1, so each cofactor shrinks to those 2^var minterms: a block of
+// words for var >= 6, a shift and mask below.  All intermediate tables
+// are carved from the bump region [scratch, end).  The split variable
+// and the c0, c1, c_rest order are those of the textbook recursion over
+// full-width truth tables, so the cube list is the same, cube for cube.
+void isop_rec(const Word* lower, const Word* upper, unsigned n, Word* g,
+              Word* scratch, const Word* end, std::vector<Cube>& cubes) {
+  const std::size_t nw = words(n);
+  const Word mask = low_bits(n);
+  if (std::all_of(lower, lower + nw, [](Word w) { return w == 0; })) {
+    std::fill(g, g + nw, Word{0});
+    return;
   }
-  if (upper.is_const1()) {
-    *cover_tt = TruthTable::constant(true, nv);
-    return {Cube{}};
+  if (std::all_of(upper, upper + nw, [mask](Word w) { return w == mask; })) {
+    std::fill(g, g + nw, mask);
+    cubes.push_back(Cube{});
+    return;
   }
-  // Find the top variable either bound depends on.
-  unsigned var = top;
-  for (;;) {
-    DAGMAP_ASSERT_MSG(var > 0 || lower.depends_on(0) || upper.depends_on(0),
-                      "isop: no splitting variable");
-    if (lower.depends_on(var) || upper.depends_on(var)) break;
-    DAGMAP_ASSERT(var > 0);
+  // L <= U and neither is constant, so a splitting variable exists.
+  unsigned var = n;
+  do {
+    DAGMAP_ASSERT_MSG(var > 0, "isop: no splitting variable");
     --var;
+  } while (!TruthTable::words_depend_on({lower, nw}, var) &&
+           !TruthTable::words_depend_on({upper, nw}, var));
+
+  const std::size_t sw = words(var);
+  const Word *l0 = lower, *l1 = lower + sw, *u0 = upper, *u1 = upper + sw;
+  Word* next = scratch;
+  if (var < 6) {
+    const unsigned shift = 1u << var;
+    const Word sub = low_bits(var);
+    next[0] = lower[0] & sub, next[1] = (lower[0] >> shift) & sub;
+    next[2] = upper[0] & sub, next[3] = (upper[0] >> shift) & sub;
+    l0 = next, l1 = next + 1, u0 = next + 2, u1 = next + 3;
+    next += 4;
   }
+  Word *sub_lower = next, *sub_upper = next + sw;
+  Word *g0 = next + 2 * sw, *g1 = next + 3 * sw, *g_rest = next + 4 * sw;
+  next += 5 * sw;
+  DAGMAP_ASSERT_MSG(next <= end, "isop: scratch exhausted");
 
-  TruthTable l0 = cofactor(lower, var, false);
-  TruthTable l1 = cofactor(lower, var, true);
-  TruthTable u0 = cofactor(upper, var, false);
-  TruthTable u1 = cofactor(upper, var, true);
+  const auto vbit = static_cast<std::uint16_t>(1u << var);
+  std::size_t first = cubes.size();
+  for (std::size_t i = 0; i < sw; ++i) sub_lower[i] = l0[i] & ~u1[i];
+  isop_rec(sub_lower, u0, var, g0, next, end, cubes);
+  for (std::size_t i = first; i < cubes.size(); ++i)
+    cubes[i].neg_mask |= vbit;
 
-  TruthTable g0, g1;
-  std::vector<Cube> c0 =
-      isop_rec(l0 & ~u1, u0, var == 0 ? 0 : var - 1, &g0);
-  std::vector<Cube> c1 =
-      isop_rec(l1 & ~u0, u1, var == 0 ? 0 : var - 1, &g1);
+  first = cubes.size();
+  for (std::size_t i = 0; i < sw; ++i) sub_lower[i] = l1[i] & ~u0[i];
+  isop_rec(sub_lower, u1, var, g1, next, end, cubes);
+  for (std::size_t i = first; i < cubes.size(); ++i)
+    cubes[i].pos_mask |= vbit;
 
-  TruthTable l_rest = (l0 & ~g0) | (l1 & ~g1);
-  TruthTable g_rest;
-  std::vector<Cube> c_rest =
-      isop_rec(l_rest, u0 & u1, var == 0 ? 0 : var - 1, &g_rest);
+  for (std::size_t i = 0; i < sw; ++i) {
+    sub_lower[i] = (l0[i] & ~g0[i]) | (l1[i] & ~g1[i]);
+    sub_upper[i] = u0[i] & u1[i];
+  }
+  isop_rec(sub_lower, sub_upper, var, g_rest, next, end, cubes);
 
-  std::uint16_t vmask = static_cast<std::uint16_t>(1u << var);
-  for (Cube& c : c0) c.neg_mask |= vmask;
-  for (Cube& c : c1) c.pos_mask |= vmask;
-
-  TruthTable v = TruthTable::variable(var, nv);
-  *cover_tt = (g0 & ~v) | (g1 & v) | g_rest;
-
-  std::vector<Cube> result = std::move(c0);
-  result.insert(result.end(), c1.begin(), c1.end());
-  result.insert(result.end(), c_rest.begin(), c_rest.end());
-  return result;
+  // g = !x_var*g0 + x_var*g1 + g_rest over variables 0..var, replicated
+  // up to n variables (the cover ignores the ones above var).
+  if (var < 6) {
+    Word w = (g0[0] | g_rest[0]) | ((g1[0] | g_rest[0]) << (1u << var));
+    for (unsigned k = var + 1; k < std::min(n, 6u); ++k) w |= w << (1u << k);
+    std::fill(g, g + nw, w);
+    return;
+  }
+  for (std::size_t i = 0; i < sw; ++i) {
+    g[i] = g0[i] | g_rest[i];
+    g[sw + i] = g1[i] | g_rest[i];
+  }
+  for (std::size_t done = 2 * sw; done < nw; done *= 2)
+    std::copy(g, g + done, g + done);
 }
 
 }  // namespace
 
 std::vector<Cube> compute_isop(const TruthTable& f) {
-  TruthTable cover_tt;
-  unsigned top = f.num_vars() == 0 ? 0 : f.num_vars() - 1;
-  std::vector<Cube> cover = isop_rec(f, f, top, &cover_tt);
-  DAGMAP_ASSERT_MSG(cover_tt == f, "isop cover does not equal function");
+  const unsigned n = f.num_vars();
+  const std::size_t nw = words(n);
+  // One scratch region per call: the cover table, then per recursion
+  // level five sub-tables of at most half the parent's width plus four
+  // single-word cofactors — under 6 * nw + 9 * (n + 1) words in all.
+  std::vector<Word> scratch(6 * nw + 9 * (n + 1));
+  std::span<const Word> fw = f.words();
+  std::vector<Cube> cover;
+  isop_rec(fw.data(), fw.data(), n, scratch.data(), scratch.data() + nw,
+           scratch.data() + scratch.size(), cover);
+  DAGMAP_ASSERT_MSG(std::equal(fw.begin(), fw.end(), scratch.begin()),
+                    "isop cover does not equal function");
   return cover;
 }
 

@@ -1,7 +1,6 @@
 #include "io/genlib.hpp"
 
 #include <fstream>
-#include <locale>
 #include <sstream>
 
 #include "io/number.hpp"
@@ -136,17 +135,18 @@ std::vector<GenlibGate> read_genlib_file(const std::string& path) {
 }
 
 std::string write_genlib(const std::vector<GenlibGate>& gates) {
+  // Shortest round-trip numbers: parse_genlib reads back exactly the
+  // doubles written, and the C-locale form never emits "1,5".
+  auto num = format_double_shortest;
   std::ostringstream out;
-  // Same locale pinning as the parser: never emit "1,5".
-  out.imbue(std::locale::classic());
   for (const GenlibGate& g : gates) {
-    out << "GATE " << g.name << " " << g.area << " " << g.output_name << "="
-        << to_string(g.function) << ";\n";
+    out << "GATE " << g.name << " " << num(g.area) << " " << g.output_name
+        << "=" << to_string(g.function) << ";\n";
     for (const GenlibPin& p : g.pins) {
       out << "  PIN " << p.name << " " << phase_name(p.phase) << " "
-          << p.input_load << " " << p.max_load << " " << p.rise_block << " "
-          << p.rise_fanout << " " << p.fall_block << " " << p.fall_fanout
-          << "\n";
+          << num(p.input_load) << " " << num(p.max_load) << " "
+          << num(p.rise_block) << " " << num(p.rise_fanout) << " "
+          << num(p.fall_block) << " " << num(p.fall_fanout) << "\n";
     }
   }
   return out.str();

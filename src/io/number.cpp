@@ -5,9 +5,9 @@
 #if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
 #include <charconv>
 #else
+#include <cstdio>
 #include <locale>
 #include <sstream>
-#include <string>
 #endif
 
 namespace dagmap {
@@ -34,6 +34,27 @@ std::optional<double> parse_double_strict(std::string_view token) {
   if (!in || in.peek() != std::char_traits<char>::eof()) return std::nullopt;
   return value;
 #endif
+}
+
+std::string format_double_shortest(double v) {
+  char buf[40];
+#if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
+  // to_chars emits the shortest round-tripping form and, unlike
+  // snprintf's %g, never consults LC_NUMERIC for the decimal point.
+  auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  if (ec == std::errc()) return std::string(buf, end);
+#else
+  // Fallback: increasing %g precision until the value round-trips,
+  // normalizing any locale decimal separator back to '.'.
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    for (char* p = buf; *p; ++p)
+      if (*p == ',') *p = '.';
+    std::optional<double> back = parse_double_strict(buf);
+    if (back && *back == v) break;
+  }
+#endif
+  return buf;
 }
 
 }  // namespace dagmap

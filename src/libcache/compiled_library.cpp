@@ -10,6 +10,7 @@
 #include "io/liberty.hpp"
 #include "libcache/binio.hpp"
 #include "netlist/assert.hpp"
+#include "obs/obs.hpp"
 
 namespace dagmap {
 
@@ -55,15 +56,17 @@ CompiledLibrary compile_library(const std::string& genlib_text,
   CompiledLibrary c;
   c.name = std::move(name);
   c.options = options;
-  c.source_hash = library_content_hash(genlib_text, options);
 
   // Format sniff: a Liberty source (`library (...) { ... }`) routes
   // through the Liberty-subset reader, anything else is GENLIB.  The
-  // content hash above runs over the raw source bytes either way, so
+  // content hash runs over the raw source bytes either way, so
   // artifact freshness checking is format-agnostic.
-  std::vector<GenlibGate> base = looks_like_liberty(genlib_text)
-                                     ? parse_liberty(genlib_text).gates
-                                     : parse_genlib(genlib_text);
+  std::vector<GenlibGate> base = [&] {
+    obs::Scope scope("library.parse");
+    c.source_hash = library_content_hash(genlib_text, options);
+    return looks_like_liberty(genlib_text) ? parse_liberty(genlib_text).gates
+                                           : parse_genlib(genlib_text);
+  }();
   if (options.supergate_depth == 0) {
     c.gates = std::move(base);
     c.library = GateLibrary::from_genlib(c.gates, c.name);
@@ -75,6 +78,7 @@ CompiledLibrary compile_library(const std::string& genlib_text,
     c.supergate_stats = sg.stats;
   }
 
+  obs::Scope scope("library.index");
   c.index = PatternIndex::build(c.library);
 
   // NPN classes over the canonicalizable gate functions (1..6 inputs;

@@ -1,7 +1,6 @@
 #include "libcache/json.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -270,23 +269,7 @@ std::string json_quote(std::string_view s) {
 
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";  // JSON has no inf/nan
-  char buf[40];
-#if defined(__cpp_lib_to_chars)
-  // to_chars emits the shortest round-tripping form and, unlike
-  // snprintf's %g, never consults LC_NUMERIC for the decimal point.
-  auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  if (ec == std::errc()) return std::string(buf, end);
-#endif
-  // Fallback: increasing %g precision until the value round-trips,
-  // normalizing any locale decimal separator back to '.'.
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    for (char* p = buf; *p; ++p)
-      if (*p == ',') *p = '.';
-    std::optional<double> back = parse_double_strict(buf);
-    if (back && *back == v) break;
-  }
-  return buf;
+  return format_double_shortest(v);
 }
 
 }  // namespace dagmap::libcache

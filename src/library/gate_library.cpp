@@ -1,9 +1,11 @@
 #include "library/gate_library.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "decomp/isop.hpp"
 #include "netlist/assert.hpp"
+#include "obs/obs.hpp"
 
 namespace dagmap {
 
@@ -29,48 +31,73 @@ GateLibrary GateLibrary::from_genlib(const std::vector<GenlibGate>& gates,
   lib.name_ = std::move(name);
   lib.gates_.reserve(gates.size());
 
-  for (const GenlibGate& gg : gates) {
-    Gate g;
-    g.name = gg.name;
-    g.area = gg.area;
+  // Three passes over the gate list, one obs sub-phase each: truth
+  // tables and pins, the ISOP normal forms, then the patterns.
+  std::vector<std::vector<std::string>> gate_vars(gates.size());
+  {
+    obs::Scope scope("library.tt");
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+      const GenlibGate& gg = gates[i];
+      Gate g;
+      g.name = gg.name;
+      g.area = gg.area;
 
-    std::vector<std::string> vars = expr_variables(gg.function);
-    DAGMAP_ASSERT_MSG(vars.size() <= TruthTable::kMaxVars,
-                      "gate " + gg.name + " has too many inputs");
-    g.function = expr_truth_table(gg.function, vars);
+      std::vector<std::string>& vars = gate_vars[i];
+      vars = expr_variables(gg.function);
+      DAGMAP_ASSERT_MSG(vars.size() <= TruthTable::kMaxVars,
+                        "gate " + gg.name + " has too many inputs");
+      g.function = expr_truth_table(gg.function, vars);
 
-    // Resolve pin timing: named PIN entries first, '*' as the default.
-    const GenlibPin* wildcard = nullptr;
-    for (const GenlibPin& p : gg.pins)
-      if (p.name == "*") wildcard = &p;
-    for (const std::string& v : vars) {
-      GatePin pin;
-      pin.name = v;
-      const GenlibPin* src = wildcard;
+      // Resolve pin timing: named PIN entries first, '*' as the default.
+      const GenlibPin* wildcard = nullptr;
       for (const GenlibPin& p : gg.pins)
-        if (p.name == v) src = &p;
-      if (src) {
-        pin.rise_block = src->rise_block;
-        pin.fall_block = src->fall_block;
-        pin.input_load = src->input_load;
-        pin.rise_fanout = src->rise_fanout;
-        pin.fall_fanout = src->fall_fanout;
+        if (p.name == "*") wildcard = &p;
+      for (const std::string& v : vars) {
+        GatePin pin;
+        pin.name = v;
+        const GenlibPin* src = wildcard;
+        for (const GenlibPin& p : gg.pins)
+          if (p.name == v) src = &p;
+        if (src) {
+          pin.rise_block = src->rise_block;
+          pin.fall_block = src->fall_block;
+          pin.input_load = src->input_load;
+          pin.rise_fanout = src->rise_fanout;
+          pin.fall_fanout = src->fall_fanout;
+        }
+        g.pins.push_back(std::move(pin));
       }
-      g.pins.push_back(std::move(pin));
+      lib.gates_.push_back(std::move(g));
     }
+  }
 
-    // Patterns come from the GENLIB factored form *and* from the
-    // normalized ISOP-best-phase form — the latter is the exact shape
-    // technology decomposition emits for this function, so every gate
-    // can always cover its own decomposition.
-    g.patterns = generate_patterns(gg.function, vars);
-    if (!vars.empty() && !g.function.is_const0() && !g.function.is_const1()) {
-      Expr norm = truth_table_to_expr_best_phase(g.function, vars);
+  // The normalized ISOP-best-phase form is the exact shape technology
+  // decomposition emits for a gate's function, so patterns of it let
+  // every gate cover its own decomposition.  Constants have none.
+  std::vector<std::optional<Expr>> normalized(gates.size());
+  {
+    obs::Scope scope("library.isop");
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+      const TruthTable& f = lib.gates_[i].function;
+      if (!gate_vars[i].empty() && !f.is_const0() && !f.is_const1())
+        normalized[i] = truth_table_to_expr_best_phase(f, gate_vars[i]);
+    }
+  }
+
+  // Patterns come from the GENLIB factored form *and* from the
+  // normalized form, deduplicated by structure.
+  {
+    obs::Scope scope("library.patterns");
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+      Gate& g = lib.gates_[i];
+      g.patterns = generate_patterns(gates[i].function, gate_vars[i]);
+      std::optional<Expr> norm = std::move(normalized[i]);
+      if (!norm) continue;
       std::vector<std::uint64_t> seen;
       seen.reserve(g.patterns.size());
       for (const PatternGraph& p : g.patterns)
         seen.push_back(p.structural_hash());
-      for (PatternGraph& p : generate_patterns(norm, vars)) {
+      for (PatternGraph& p : generate_patterns(*norm, gate_vars[i])) {
         std::uint64_t h = p.structural_hash();
         if (std::find(seen.begin(), seen.end(), h) == seen.end()) {
           seen.push_back(h);
@@ -78,7 +105,6 @@ GateLibrary GateLibrary::from_genlib(const std::vector<GenlibGate>& gates,
         }
       }
     }
-    lib.gates_.push_back(std::move(g));
   }
 
   lib.select_base_gates();

@@ -1,5 +1,7 @@
 #include "library/standard_libs.hpp"
 
+#include <cmath>
+
 #include "netlist/assert.hpp"
 
 namespace dagmap {
@@ -90,7 +92,10 @@ GenlibGate make_aoi_gate(const std::vector<int>& sizes, int gate_index) {
       GenlibPin p;
       p.name = std::string(1, static_cast<char>('a' + pin));
       p.phase = GenlibPin::Phase::Inv;
-      double d = 0.7 + 0.15 * s + 0.12 * groups;
+      // Rounded to the two decimals write_genlib prints, so the
+      // in-memory gates and every GENLIB or artifact copy of them carry
+      // the same doubles (0.7 + 0.15 + 0.24 is 1.0899999999999999).
+      double d = std::round((0.7 + 0.15 * s + 0.12 * groups) * 100) / 100;
       p.rise_block = p.fall_block = d;
       p.rise_fanout = p.fall_fanout = 0.0;
       g.pins.push_back(std::move(p));

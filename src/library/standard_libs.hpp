@@ -15,7 +15,8 @@
 //
 // Pin delays follow a logical-effort-style model: a pin in a product
 // group of size s within a gate of g groups has intrinsic delay
-// 0.7 + 0.15*s + 0.12*g; gate area equals its literal count.  Richer
+// 0.7 + 0.15*s + 0.12*g, rounded to two decimals; gate area equals its
+// literal count.  Richer
 // gates are slower per stage but far faster than the equivalent NAND2
 // tree — the property that makes the paper's Table 3 gap appear.
 #pragma once

@@ -159,8 +159,20 @@ TruthTable TruthTable::compose(std::span<const TruthTable> args) const {
 
 bool TruthTable::depends_on(unsigned var) const {
   DAGMAP_ASSERT(var < num_vars_);
-  for (std::size_t m = 0; m < num_minterms(); ++m)
-    if (!((m >> var) & 1) && bit(m) != bit(m | (std::size_t{1} << var)))
+  return words_depend_on(words_, var);
+}
+
+bool TruthTable::words_depend_on(std::span<const std::uint64_t> words,
+                                 unsigned var) {
+  // Below six, 64 minterms at a time against their partners 2^var up;
+  // from six, each block of 2^(var-6) words against the block above.
+  if (var < 6)
+    return std::any_of(words.begin(), words.end(), [var](std::uint64_t w) {
+      return ((w >> (1u << var)) ^ w) & ~kVarMask[var];
+    });
+  std::size_t block = std::size_t{1} << (var - 6);
+  for (std::size_t w = 0; w < words.size(); w += 2 * block)
+    if (!std::equal(&words[w], &words[w + block], &words[w + block]))
       return true;
   return false;
 }

@@ -77,6 +77,13 @@ class TruthTable {
   /// True if the function depends on variable `var`.
   bool depends_on(unsigned var) const;
 
+  /// Word-parallel body of `depends_on` over a raw table laid out as
+  /// `words()` returns it (tail bits zero), for code that keeps tables
+  /// in scratch buffers (decomp/isop.cpp).  `var` must be below the
+  /// table's variable count.
+  static bool words_depend_on(std::span<const std::uint64_t> words,
+                              unsigned var);
+
   TruthTable operator~() const;
   TruthTable operator&(const TruthTable& o) const;
   TruthTable operator|(const TruthTable& o) const;

@@ -21,13 +21,13 @@ namespace {
 
 constexpr double kDelayEps = 1e-9;
 
-/// Normalizes a double through the GENLIB writer's text format so the
-/// materialized gates round-trip bit-for-bit (write_genlib then
-/// parse_genlib reproduces the same doubles).  Sums of pin delays like
-/// 1.2 + 1.0 = 2.2000000000000002 would otherwise print as "2.2" and
-/// re-parse to a different value.  Both directions are pinned to the
+/// Rounds a double to the six significant digits GENLIB files carry, so
+/// sums of pin delays like 1.2 + 1.0 = 2.2000000000000002 become the 2.2
+/// a hand-written library would hold.  write_genlib round-trips any
+/// double exactly either way; the rounded values are what compiled
+/// supergate artifacts store.  Both directions are pinned to the
 /// classic locale (io/number.hpp) so a comma-decimal global locale
-/// cannot break the round-trip.
+/// cannot change the result.
 double normalize_double(double v) {
   std::ostringstream ss;
   ss.imbue(std::locale::classic());

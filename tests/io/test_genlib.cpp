@@ -68,6 +68,30 @@ TEST(Genlib, RoundTripsThroughWriter) {
   }
 }
 
+// Doubles that six significant digits cannot carry come back bit-exact:
+// the writer prints the shortest form that parses to the same value.
+TEST(Genlib, WriterRoundTripsEveryDoubleExactly) {
+  auto gates = parse_genlib(kSmallLib);
+  GenlibPin& pin = gates[2].pins[0];
+  gates[2].area = 1.2 + 1.0;               // 2.2000000000000002
+  pin.rise_block = 0.7 + 0.15 + 0.12 * 2;  // 1.0899999999999999
+  pin.fall_block = 1.0 / 3.0;
+  pin.input_load = 1e-7;
+  pin.max_load = 123456789.0;
+  pin.rise_fanout = -0.0625;
+  auto again = parse_genlib(write_genlib(gates));
+  ASSERT_EQ(again.size(), gates.size());
+  const GenlibPin& back = again[2].pins[0];
+  EXPECT_EQ(again[2].area, gates[2].area);
+  EXPECT_EQ(back.rise_block, pin.rise_block);
+  EXPECT_EQ(back.fall_block, pin.fall_block);
+  EXPECT_EQ(back.input_load, pin.input_load);
+  EXPECT_EQ(back.max_load, pin.max_load);
+  EXPECT_EQ(back.rise_fanout, pin.rise_fanout);
+  EXPECT_EQ(format_double_shortest(1.09), "1.09");
+  EXPECT_EQ(format_double_shortest(999.0), "999");
+}
+
 TEST(Genlib, FunctionMaySpanSpaces) {
   auto gates = parse_genlib("GATE or2 2 O = a + b;\n PIN * NONINV 1 999 1 0 1 0\n");
   ASSERT_EQ(gates.size(), 1u);

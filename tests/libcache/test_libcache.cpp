@@ -28,10 +28,13 @@
 
 #include "core/dag_mapper.hpp"
 #include "decomp/tech_decomp.hpp"
+#include "gen/libraries.hpp"
+#include "io/genlib.hpp"
 #include "io/blif.hpp"
 #include "libcache/binio.hpp"
 #include "libcache/compiled_library.hpp"
 #include "libcache/registry.hpp"
+#include "library/standard_libs.hpp"
 #include "mapnet/write.hpp"
 
 namespace dagmap {
@@ -147,6 +150,25 @@ INSTANTIATE_TEST_SUITE_P(BaseAndSupergates, LibCacheRoundTrip,
                          [](const auto& info) {
                            return info.param == 0 ? "base" : "supergates2";
                          });
+
+// FNV-1a-64 of whole artifacts (library name "x"), recorded before the
+// ISOP moved to word-parallel scratch arithmetic.  The patterns, the
+// pattern index and every other byte must stay exactly as they were,
+// so existing .dmlc files stay valid without a format version bump.
+TEST(LibCacheBytes, CompiledLibrariesMatchRecordedFingerprints) {
+  auto fingerprint = [](const std::string& text) {
+    return libcache::fnv1a64(
+        serialize_compiled_library(compile_library(text, {}, "x")));
+  };
+  EXPECT_EQ(fingerprint(write_genlib(make_44_genlib(1))), 0x27b71fbbc3d7f1d9ull);
+  EXPECT_EQ(fingerprint(write_genlib(make_44_genlib(2))), 0x3484e06e6188848bull);
+  EXPECT_EQ(fingerprint(write_genlib(make_44_genlib(3))), 0x23012eb25d27fe6full);
+  EXPECT_EQ(fingerprint(lib2_genlib_text()), 0xb098844a2140e002ull);
+  EXPECT_EQ(fingerprint(make_random_genlib(7, 20, 6)), 0x7a857f29c20412b4ull);
+  EXPECT_EQ(fingerprint(make_random_genlib(42, 20, 6)), 0x8e17f3b7ae0d3e2dull);
+  EXPECT_EQ(fingerprint(make_random_genlib(1234, 20, 6, /*multi_level=*/true)),
+            0x0055bf2d8667bf12ull);
+}
 
 TEST(LibCacheFile, SaveThenLoadRoundTripsThroughDisk) {
   std::string genlib_text = slurp(data_path("full_adder.genlib"));

@@ -7,6 +7,10 @@
 
 #include <thread>
 
+#include "io/genlib.hpp"
+#include "libcache/compiled_library.hpp"
+#include "library/standard_libs.hpp"
+
 namespace dagmap {
 namespace {
 
@@ -222,6 +226,47 @@ TEST_F(ObsTest, DefaultConstructedProfileIsMarkedUncollected) {
   obs::ProfileData prof;
   EXPECT_FALSE(prof.collected);
   EXPECT_TRUE(prof.phases.empty());
+}
+
+// compile_library's sub-phases (parse, tt, isop, patterns, index) nest
+// one level under the caller's library.build scope and account for at
+// least 95 % of its wall time; without a session they record nothing.
+TEST_F(ObsTest, LibraryBuildSubPhasesNestAndCoverTheBuild) {
+  const std::string text = write_genlib(make_44_genlib(3));
+  CompiledLibrary lib;  // destroyed outside the timed build
+  obs::start();
+  {
+    obs::Scope build("library.build");
+    lib = compile_library(text, {}, "44-3-like");
+  }
+  obs::stop();
+  obs::ProfileData prof = obs::collect();
+
+  const obs::ProfileEvent* whole = nullptr;
+  for (const obs::ProfileEvent& e : prof.events)
+    if (e.name == "library.build") whole = &e;
+  ASSERT_NE(whole, nullptr);
+  EXPECT_EQ(whole->depth, 0u);
+  double covered_us = 0.0;
+  for (const char* sub : {"library.parse", "library.tt", "library.isop",
+                          "library.patterns", "library.index"}) {
+    int seen = 0;
+    for (const obs::ProfileEvent& e : prof.events) {
+      if (e.name != sub) continue;
+      ++seen;
+      EXPECT_EQ(e.depth, 1u) << sub;
+      EXPECT_EQ(e.tid, whole->tid) << sub;
+      EXPECT_GE(e.start_us, whole->start_us) << sub;
+      EXPECT_LE(e.start_us + e.dur_us, whole->start_us + whole->dur_us) << sub;
+      covered_us += e.dur_us;
+    }
+    EXPECT_EQ(seen, 1) << sub;
+  }
+  EXPECT_GE(covered_us, 0.95 * whole->dur_us);
+  EXPECT_EQ(prof.events.size(), 6u);
+
+  compile_library(text, {}, "44-3-like");  // no session: inert
+  EXPECT_EQ(obs::collect().events.size(), prof.events.size());
 }
 
 }  // namespace

@@ -76,6 +76,7 @@
 //
 // Prints a one-screen report: subject statistics, delay/area, gate
 // histogram, and the equivalence verdict.  Exits nonzero on any failure.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -155,6 +156,19 @@ struct CliOptions {
   std::exit(2);
 }
 
+// Parses the whole of `v` as a decimal T (from_chars: no sign for
+// unsigned types, no whitespace, no trailing junk, no wrap-around); any
+// failure is a usage error naming the flag and its value.
+template <class T>
+T parse_number(const char* flag, const std::string& v) {
+  T value{};
+  const char* end = v.data() + v.size();
+  auto [ptr, ec] = std::from_chars(v.data(), end, value);
+  if (ec != std::errc() || ptr != end)
+    usage((std::string("bad ") + flag + " value `" + v + "`").c_str());
+  return value;
+}
+
 CliOptions parse_args(int argc, char** argv) {
   CliOptions o;
   for (int i = 1; i < argc; ++i) {
@@ -173,14 +187,22 @@ CliOptions parse_args(int argc, char** argv) {
         usage((std::string("bad ") + flag + " value `" + v + "`").c_str());
       return *d;
     };
+    auto next_unsigned = [&](const char* flag) {
+      return parse_number<unsigned>(flag, next());
+    };
+    // The `--flag=value` spelling of an unsigned flag.
+    auto suffix_unsigned = [&](const char* flag) {
+      return parse_number<unsigned>(flag, a.substr(std::strlen(flag) + 1));
+    };
     if (a == "--library") o.library_path = next();
     else if (a == "--liberty") o.liberty_path = next();
     else if (a.rfind("--liberty=", 0) == 0)
       o.liberty_path = a.substr(std::strlen("--liberty="));
-    else if (a == "--load-rounds") o.load_rounds = std::stoul(next());
+    else if (a == "--load-rounds")
+      o.load_rounds = next_unsigned("--load-rounds");
     else if (a.rfind("--load-rounds=", 0) == 0)
-      o.load_rounds = std::stoul(a.substr(std::strlen("--load-rounds=")));
-    else if (a == "--lib44") o.lib44 = std::stoi(next());
+      o.load_rounds = suffix_unsigned("--load-rounds");
+    else if (a == "--lib44") o.lib44 = parse_number<int>("--lib44", next());
     else if (a == "--mapper") o.mapper = next();
     else if (a == "--choices") o.choices = true;
     else if (a.rfind("--choices=", 0) == 0) {
@@ -196,21 +218,21 @@ CliOptions parse_args(int argc, char** argv) {
     else if (a == "--backend") o.backend = next();
     else if (a.rfind("--backend=", 0) == 0)
       o.backend = a.substr(std::strlen("--backend="));
-    else if (a == "--cut-size") o.cut_size = std::stoul(next());
-    else if (a == "--cut-count") o.cut_count = std::stoul(next());
-    else if (a == "--rounds") o.rounds = std::stoul(next());
+    else if (a == "--cut-size") o.cut_size = next_unsigned("--cut-size");
+    else if (a == "--cut-count") o.cut_count = next_unsigned("--cut-count");
+    else if (a == "--rounds") o.rounds = next_unsigned("--rounds");
     else if (a == "--delay-factor") o.delay_factor = next_double("--delay-factor");
     else if (a == "--match") o.match = next();
     else if (a == "--supergates") o.supergate_depth = 2, o.supergates_set = true;
     else if (a.rfind("--supergates=", 0) == 0) {
-      o.supergate_depth = std::stoul(a.substr(std::strlen("--supergates=")));
+      o.supergate_depth = suffix_unsigned("--supergates");
       o.supergates_set = true;
     }
-    else if (a == "--threads") o.threads = std::stoul(next());
+    else if (a == "--threads") o.threads = next_unsigned("--threads");
     else if (a == "--partition") o.partition = 1;
     else if (a.rfind("--partition=", 0) == 0) {
       o.partition = 1;
-      o.partition_window = std::stoul(a.substr(std::strlen("--partition=")));
+      o.partition_window = suffix_unsigned("--partition");
       if (o.partition_window == 0) usage("zero --partition= window");
     }
     else if (a == "--no-partition") o.partition = 0;
@@ -221,12 +243,12 @@ CliOptions parse_args(int argc, char** argv) {
       if (o.trace_path.empty()) usage("empty --profile= path");
     }
     else if (a == "--area-recovery") o.area_recovery = true;
-    else if (a == "--buffer") o.buffer_branch = std::stoul(next());
+    else if (a == "--buffer") o.buffer_branch = next_unsigned("--buffer");
     else if (a == "--lt-buffer") o.lt_buffer = true;
     else if (a == "--size") o.size = true;
     else if (a == "--stats") o.stats = true;
     else if (a == "--retime") o.retime = true;
-    else if (a == "--lut") o.lut_k = std::stoul(next());
+    else if (a == "--lut") o.lut_k = next_unsigned("--lut");
     else if (a == "--out") o.out_path = next();
     else if (a == "--verify") o.verify = true;
     else if (a == "--no-verify") o.verify = false;
@@ -244,6 +266,7 @@ CliOptions parse_args(int argc, char** argv) {
   if (o.cut_count < 1) usage("bad --cut-count (want >= 1)");
   if (o.rounds < 1) usage("bad --rounds (want >= 1)");
   if (o.delay_factor < 1.0) usage("bad --delay-factor (want >= 1.0)");
+  if (o.lib44 < 0 || o.lib44 > 3) usage("bad --lib44 (want 1..3)");
   if (!o.liberty_path.empty() && (!o.library_path.empty() || o.lib44 > 0))
     usage("--liberty excludes --library and --lib44");
   if (o.mapper == "choice") {
@@ -411,42 +434,45 @@ int main(int argc, char** argv) try {
   }
 
   // ---- library-based flow -------------------------------------------------
-  // Gather the parsed gate list first so --supergates can augment any of
-  // the three sources before the GateLibrary is built.
-  std::vector<GenlibGate> base_gates = [&] {
-    if (clib) return std::vector<GenlibGate>{};  // came precompiled
-    obs::Scope scope("library.read");
-    if (!opt.liberty_path.empty()) {
-      LibertyLibrary ll = read_liberty_file(opt.liberty_path);
-      if (ll.cells_skipped)
-        std::printf("liberty %s: %zu combinational cells (%zu skipped)\n",
-                    ll.name.c_str(), ll.gates.size(), ll.cells_skipped);
-      return std::move(ll.gates);
-    }
-    return !opt.library_path.empty() ? read_genlib_file(opt.library_path)
-         : opt.lib44 > 0             ? make_44_genlib(opt.lib44)
-                                     : parse_genlib(lib2_genlib_text());
-  }();
-  GateLibrary lib = [&]() -> GateLibrary {
-    if (clib) return std::move(clib->library);
-    if (opt.supergate_depth == 0) {
-      // Pattern generation dominates for rich libraries (hundreds of
-      // gates); --supergates times it inside supergate.generate.
-      obs::Scope scope("library.build");
-      return GateLibrary::from_genlib(base_gates, lib_name);
-    }
-    SupergateOptions sgopt;
-    sgopt.max_depth = opt.supergate_depth;
-    sgopt.num_threads = opt.threads;
-    SupergateLibrary sg =
-        generate_supergates(base_gates, sgopt, lib_name + "+supergates");
-    std::printf(
-        "supergates: depth %u, %zu kept of %zu candidates "
-        "(%zu classes, %.2fs)\n",
-        opt.supergate_depth, sg.stats.kept, sg.stats.candidates,
-        sg.stats.classes_seen, sg.stats.generation_seconds);
-    return std::move(sg.library);
-  }();
+  // One library.build phase reads the gate list (library.parse) and
+  // builds the GateLibrary from it (library.tt / .isop / .patterns, or
+  // supergate.generate with --supergates); a precompiled library skips
+  // it.  Gathering the gate list first lets --supergates augment any of
+  // the three sources.
+  GateLibrary lib;
+  {
+    obs::Scope build_scope(clib ? nullptr : "library.build");
+    std::vector<GenlibGate> base_gates = [&] {
+      if (clib) return std::vector<GenlibGate>{};  // came precompiled
+      obs::Scope scope("library.parse");
+      if (!opt.liberty_path.empty()) {
+        LibertyLibrary ll = read_liberty_file(opt.liberty_path);
+        if (ll.cells_skipped)
+          std::printf("liberty %s: %zu combinational cells (%zu skipped)\n",
+                      ll.name.c_str(), ll.gates.size(), ll.cells_skipped);
+        return std::move(ll.gates);
+      }
+      return !opt.library_path.empty() ? read_genlib_file(opt.library_path)
+           : opt.lib44 > 0             ? make_44_genlib(opt.lib44)
+                                       : parse_genlib(lib2_genlib_text());
+    }();
+    lib = [&]() -> GateLibrary {
+      if (clib) return std::move(clib->library);
+      if (opt.supergate_depth == 0)
+        return GateLibrary::from_genlib(base_gates, lib_name);
+      SupergateOptions sgopt;
+      sgopt.max_depth = opt.supergate_depth;
+      sgopt.num_threads = opt.threads;
+      SupergateLibrary sg =
+          generate_supergates(base_gates, sgopt, lib_name + "+supergates");
+      std::printf(
+          "supergates: depth %u, %zu kept of %zu candidates "
+          "(%zu classes, %.2fs)\n",
+          opt.supergate_depth, sg.stats.kept, sg.stats.candidates,
+          sg.stats.classes_seen, sg.stats.generation_seconds);
+      return std::move(sg.library);
+    }();
+  }
   std::printf("library %s: %zu gates\n", lib.name().c_str(), lib.size());
   if (!lib.is_complete_for_mapping()) usage("library lacks INV or NAND2");
 

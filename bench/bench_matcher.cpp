@@ -18,7 +18,8 @@
 //    "ns_per_node": ..., "pruned_pct": ..., "speedup": ...}
 //
 // `ns_per_node` is the indexed sweep; `pruned_pct` the share of
-// (root, pattern) pairs rejected in O(1); `speedup` the end-to-end
+// (root, pattern) pairs rejected before a walk by the shape automaton
+// (DESIGN.md §7); `speedup` the end-to-end
 // labeling ratio (seed sequential / 4-thread indexed).  Exits nonzero
 // if the two dag_map configurations disagree (determinism guarantee).
 //

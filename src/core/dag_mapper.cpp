@@ -122,17 +122,22 @@ MapResult dag_map(const Network& subject, const GateLibrary& lib,
   }
 
   unsigned num_threads = resolve_num_threads(options.num_threads);
-  struct alignas(64) WorkerCounters {
+  // Per-worker state: the match counter, and the running best match of
+  // the node being labeled, overwritten in place on every improvement
+  // so only the final pick is copied out (one `Match` per node).
+  struct alignas(64) WorkerState {
     std::uint64_t enumerated = 0;
+    Match best;
   };
-  std::vector<WorkerCounters> counters(num_threads);
+  std::vector<WorkerState> workers(num_threads);
 
   auto label_node = [&](NodeId n, unsigned worker) {
+    WorkerState& w = workers[worker];
     double best = kInf;
     double best_area = kInf;
     const Gate* best_gate = nullptr;
     matcher.for_each_match(n, options.match_class, [&](const MatchView& m) {
-      ++counters[worker].enumerated;
+      ++w.enumerated;
       double a = choices ? pricing->match_arrival(m, n)
                          : match_arrival(m, result.label);
       // Primary criterion: arrival.  Tie-break: gate area, so the
@@ -148,12 +153,13 @@ MapResult dag_map(const Network& subject, const GateLibrary& lib,
         best = a;
         best_area = m.gate->area;
         best_gate = m.gate;
-        fastest[n] = Match(m);
+        w.best.assign(m);
       }
       if (options.area_recovery) all_matches[n].push_back(Match(m));
     });
-    DAGMAP_ASSERT_MSG(fastest[n].has_value(),
+    DAGMAP_ASSERT_MSG(best_gate != nullptr,
                       "no match at an internal subject node");
+    fastest[n] = w.best;
     result.label[n] = best;
     if (choices) {
       // Re-point the selected matches' classed leaves at the class-best
@@ -193,8 +199,8 @@ MapResult dag_map(const Network& subject, const GateLibrary& lib,
             },
             "label.wave");
     }
-    for (const WorkerCounters& c : counters)
-      result.matches_enumerated += c.enumerated;
+    for (const WorkerState& w : workers)
+      result.matches_enumerated += w.enumerated;
     result.match_attempts = matcher.attempts();
     result.match_prunes = matcher.pruned();
     result.truncations = matcher.truncations();
@@ -203,8 +209,8 @@ MapResult dag_map(const Network& subject, const GateLibrary& lib,
                        use_partitions ? parts->num_waves() : waves.size());
       obs::counter_add("label.nodes", subject.num_internal());
       obs::counter_add("match.enumerated", result.matches_enumerated);
-      obs::counter_add("match.index_misses", result.match_attempts);
-      obs::counter_add("match.index_hits", result.match_prunes);
+      obs::counter_add("match.walks", result.match_attempts);
+      obs::counter_add("match.pruned", result.match_prunes);
       obs::counter_add("match.truncations", result.truncations);
     }
   }
@@ -238,7 +244,9 @@ MapResult dag_map(const Network& subject, const GateLibrary& lib,
     result.optimal_delay =
         std::max(result.optimal_delay, result.label[cnet.fanins(l)[0]]);
 
-  std::vector<std::optional<Match>> chosen = fastest;
+  // `fastest` is not read again: hand its matches over instead of
+  // deep-copying one Match (two heap vectors) per node.
+  std::vector<std::optional<Match>> chosen = std::move(fastest);
 
   if (options.area_recovery) {
     obs::Scope scope("area_recovery");

@@ -91,8 +91,8 @@ struct DagMapOptions {
   /// independently, and ties break on (arrival, gate area, gate name)
   /// rather than enumeration order).
   unsigned num_threads = 1;
-  /// Consult the matcher's signature index before each pattern walk
-  /// (off reproduces the unpruned enumeration; for benchmarks/tests).
+  /// Pre-match pruning by the matcher's shape automaton (off reproduces
+  /// the unpruned enumeration; for benchmarks/tests).
   bool use_signature_index = true;
   /// Record per-phase timings/counters into `MapResult::profile` (see
   /// obs/obs.hpp).  Purely observational: the mapped netlist is

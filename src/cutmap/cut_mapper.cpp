@@ -34,21 +34,25 @@ struct Candidate {
   NpnTransform rel;                    ///< NPN only
 };
 
-// Turns a candidate into the owning Match the cover machinery consumes.
-// NPN matches: gate pin i reads cut leaf rel.perm[i], negated iff bit i
-// of rel.input_negate (same relation as boolmatch/bool_mapper.cpp).
-Match materialize(const Candidate& c) {
-  if (!c.is_npn) return Match(*c.view);
-  Match m;
+// Writes a candidate into `m`, the owning Match the cover machinery
+// consumes, reusing m's capacity.  NPN matches: gate pin i reads cut leaf
+// rel.perm[i], negated iff bit i of rel.input_negate (same relation as
+// boolmatch/bool_mapper.cpp).
+void materialize(const Candidate& c, Match& m) {
+  if (!c.is_npn) {
+    m.assign(*c.view);
+    return;
+  }
   m.gate = c.gate;
+  m.pattern = nullptr;
   unsigned ni = c.gate->num_inputs();
   m.pin_binding.resize(ni);
   for (unsigned pin = 0; pin < ni; ++pin)
     m.pin_binding[pin] = c.cut_leaves[c.rel.perm[pin]];
+  m.covered.clear();
   m.input_negate =
       static_cast<std::uint8_t>(c.rel.input_negate & ((1u << ni) - 1u));
   m.output_negate = c.rel.output_negate;
-  return m;
 }
 
 }  // namespace
@@ -176,6 +180,9 @@ MapResult cut_map(const Network& subject, const GateLibrary& lib,
     std::vector<std::int32_t> canon;
     std::vector<NpnTransform> canon_t;
     std::uint64_t enumerated = 0;
+    /// Running best candidate of the node being labeled, overwritten in
+    /// place; only the final pick is copied out.
+    Match best;
   };
   std::vector<WorkerState> workers(num_threads);
 
@@ -376,11 +383,12 @@ MapResult cut_map(const Network& subject, const GateLibrary& lib,
               best = c.arrival;
               best_area = c.area;
               best_gate = c.gate;
-              fastest[n] = materialize(c);
+              materialize(c, w.best);
             }
           });
-          DAGMAP_ASSERT_MSG(fastest[n].has_value(),
+          DAGMAP_ASSERT_MSG(best_gate != nullptr,
                             "no candidate at an internal subject node");
+          fastest[n] = w.best;
           result.label[n] = best;
           if (choices) {
             pricing->rewrite(*fastest[n], n);
@@ -403,6 +411,9 @@ MapResult cut_map(const Network& subject, const GateLibrary& lib,
                        use_partitions ? parts->num_waves() : waves.size());
       obs::counter_add("label.nodes", subject.num_internal());
       obs::counter_add("match.enumerated", result.matches_enumerated);
+      obs::counter_add("match.walks", result.match_attempts);
+      obs::counter_add("match.pruned", result.match_prunes);
+      obs::counter_add("match.truncations", result.truncations);
       std::size_t total_cuts = 0, cut_bytes = 0;
       for (const CutSet& cs : cuts) {
         total_cuts += cs.size();
@@ -435,7 +446,8 @@ MapResult cut_map(const Network& subject, const GateLibrary& lib,
     result.optimal_delay =
         std::max(result.optimal_delay, result.label[cnet.fanins(l)[0]]);
 
-  std::vector<std::optional<Match>> chosen = fastest;
+  // `fastest` is not read again: move, do not deep-copy, its matches.
+  std::vector<std::optional<Match>> chosen = std::move(fastest);
 
   // ---- area-recovery rounds (abc-zz LutMap's n_rounds/delay_factor) ---
   unsigned rounds = std::max(1u, options.rounds);
@@ -528,7 +540,7 @@ MapResult cut_map(const Network& subject, const GateLibrary& lib,
             pick_arrival = c.arrival;
             pick_area = c.area;
             pick_gate = c.gate;
-            pick = materialize(c);
+            materialize(c, pick);
           }
         });
         DAGMAP_ASSERT_MSG(have,

@@ -392,6 +392,9 @@ CompiledLibrary deserialize_payload(std::string_view payload) {
   c.index.nand_rooted = read_index_bucket(r);
   if (!c.index.matches_shape(c.library))
     throw FormatError("pattern index does not match the gate table");
+  // The shape automaton is derived, not stored (artifact bytes stay as
+  // they were before it existed).
+  c.index.derive_shapes(c.library);
 
   std::uint64_t class_of = r.count(4, "npn class id");
   if (class_of != built_gates)

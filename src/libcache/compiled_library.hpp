@@ -11,7 +11,8 @@
 //     materialized as ordinary gates, exactly as supergate/ emits them),
 //   * the built `GateLibrary` (pins, IEEE-754-exact delays/areas, truth
 //     tables, pattern graphs),
-//   * the library-side signature pre-index (match/pattern_index.hpp),
+//   * the library-side pattern pre-index (match/pattern_index.hpp; its
+//     shape table is re-derived on load, not stored),
 //   * NPN equivalence classes over the gate functions, and
 //   * the supergate generation stats,
 //
@@ -101,7 +102,7 @@ struct CompiledLibrary {
   /// supergate compositions) — what write_genlib round-trips.
   std::vector<GenlibGate> gates;
   GateLibrary library;
-  /// Library-side signature pre-index, shared by every Matcher built
+  /// Library-side pattern pre-index, shared by every Matcher built
   /// against this library (pass as DagMapOptions::pattern_index).
   PatternIndex index;
   /// npn_class_of[i] = class id of library gate i (kNoNpnClass when the

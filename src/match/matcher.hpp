@@ -18,14 +18,19 @@
 // on node kinds so failed gates abort after a few nodes.
 //
 // Two layers keep the per-root cost low with rich libraries:
-//   * a pattern pre-index — patterns are bucketed by root kind and carry a
-//     structural signature (match/signature.hpp); the same signature is
-//     computed for every subject node at construction, and incompatible
-//     (root, pattern) pairs are rejected in O(1) without a walk;
-//   * allocation-free enumeration — the walk and the match assembly run
-//     out of per-thread scratch buffers, and matches reach the callback
-//     as `MatchView` spans into that scratch (valid only during the
-//     callback; copy into a `Match` to keep one).
+//   * a shape automaton — every pattern node has a shape id (its subtree
+//     with leaves as wildcards; match/pattern_index.hpp), and the
+//     constructor gives every subject node the set of shapes it can
+//     root in one bottom-up pass.  A candidate whose root shape is not in
+//     the root's set is skipped without a walk, and the walk refuses to
+//     bind a pattern node to a subject node outside its shape's set.
+//     Each refused branch is one that could not complete, so the
+//     sequence of matches is exactly the unpruned one (DESIGN.md §7);
+//   * allocation-free enumeration — the walk, the one-to-one check, the
+//     dedup table and the match assembly run out of per-thread scratch
+//     buffers, and matches reach the callback as `MatchView` spans into
+//     that scratch (valid only during the callback; copy into a `Match`
+//     to keep one).
 //
 // `for_each_match` is safe to call concurrently from several threads on
 // the same `Matcher` (the statistics counters are atomic; scratch is
@@ -40,7 +45,6 @@
 
 #include "library/gate_library.hpp"
 #include "match/pattern_index.hpp"
-#include "match/signature.hpp"
 #include "netlist/network.hpp"
 
 namespace dagmap {
@@ -57,6 +61,10 @@ struct MatchView;
 struct Match {
   Match() = default;
   explicit Match(const MatchView& v);
+
+  /// Overwrites this match with `v`, reusing the vectors' capacity (a
+  /// per-worker running best allocates nothing in the steady state).
+  void assign(const MatchView& v);
 
   const Gate* gate = nullptr;
   const PatternGraph* pattern = nullptr;
@@ -100,9 +108,11 @@ double match_arrival(const MatchView& m, std::span<const double> leaf_arrival);
 
 /// Aggregated matcher statistics (mergeable across threads).
 struct MatchStats {
-  /// (root, pattern) pairs whose backtracking walk actually ran.
+  /// (root, pattern) pairs whose backtracking walk actually ran (the
+  /// `match.walks` counter).
   std::uint64_t attempts = 0;
-  /// (root, pattern) pairs rejected in O(1) by the signature index.
+  /// (root, pattern) candidates rejected before a walk, because the
+  /// root cannot root the pattern's shape (the `match.pruned` counter).
   std::uint64_t pruned = 0;
   /// Walks that hit the enumeration budget (symmetric patterns on highly
   /// regular subjects); their match lists are sound but possibly
@@ -112,8 +122,9 @@ struct MatchStats {
 
 /// Matcher knobs.
 struct MatcherOptions {
-  /// Consult the signature index before walking a pattern (off reproduces
-  /// the unpruned enumeration, for benchmarking and soundness tests).
+  /// Pre-match pruning by the shape automaton (off reproduces the
+  /// unpruned enumeration, for benchmarking and soundness tests).  The
+  /// name predates the automaton, which replaced a signature filter.
   bool use_signature_index = true;
 };
 
@@ -147,7 +158,7 @@ class Matcher {
     return attempts_.load(std::memory_order_relaxed);
   }
 
-  /// Number of (root, pattern) pairs pruned by the signature index.
+  /// Number of (root, pattern) candidates rejected before a walk.
   std::uint64_t pruned() const {
     return pruned_.load(std::memory_order_relaxed);
   }
@@ -155,6 +166,15 @@ class Matcher {
   /// Number of attempts that hit the enumeration budget.
   std::uint64_t truncations() const {
     return truncations_.load(std::memory_order_relaxed);
+  }
+
+  /// True when subject node `s` can root pattern shape `shape` (always
+  /// true with pruning off).  Necessary for any binding of a pattern
+  /// node of that shape to `s`, under every match class.
+  bool can_root(NodeId s, std::uint32_t shape) const {
+    return shape_sets_.empty() ||
+           ((shape_sets_[std::size_t{s} * shape_words_ + shape / 64] >>
+             (shape % 64)) & 1) != 0;
   }
 
   /// Safety valve per (root, pattern): backtracking steps before the
@@ -168,12 +188,15 @@ class Matcher {
   /// View of the subject's cached fanout counts (no per-matcher copy;
   /// valid while the subject is not structurally mutated).
   std::span<const std::uint32_t> fanout_counts_;
-  std::vector<NodeSignature> subject_sigs_;
   /// Library-side pre-index (match/pattern_index.hpp): built privately
   /// when the constructor receives no external one, otherwise empty.
   PatternIndex owned_index_;
   /// The index actually consulted (&owned_index_ or the external one).
   const PatternIndex* index_;
+  /// Per subject node, the bitset of shapes it can root
+  /// (`shape_words_` words per node); empty with pruning off.
+  std::size_t shape_words_ = 0;
+  std::vector<std::uint64_t> shape_sets_;
   mutable std::atomic<std::uint64_t> attempts_{0};
   mutable std::atomic<std::uint64_t> pruned_{0};
   mutable std::atomic<std::uint64_t> truncations_{0};

@@ -1,5 +1,6 @@
 #include "match/pattern_index.hpp"
 
+#include <unordered_map>
 #include <utility>
 
 namespace dagmap {
@@ -79,7 +80,70 @@ PatternIndex PatternIndex::build(const GateLibrary& lib) {
       // Leaf-rooted patterns (buffers) are excluded by pattern generation.
     }
   }
+  index.derive_shapes(lib);
   return index;
+}
+
+void PatternIndex::derive_shapes(const GateLibrary& lib) {
+  // Shape definitions by id: kind plus child shapes (a <= b for NAND2).
+  struct Def {
+    PatternNode::Kind kind;
+    std::uint32_t a, b;
+  };
+  std::vector<Def> defs{{PatternNode::Kind::Leaf, 0, 0}};
+  std::unordered_map<std::uint64_t, std::uint32_t> ids;
+  auto intern = [&](PatternNode::Kind kind, std::uint32_t a, std::uint32_t b) {
+    if (a > b) std::swap(a, b);
+    std::uint64_t key = (std::uint64_t{static_cast<std::uint8_t>(kind)} << 62) |
+                        (std::uint64_t{a} << 31) | b;
+    auto [it, fresh] =
+        ids.try_emplace(key, static_cast<std::uint32_t>(defs.size()));
+    if (fresh) defs.push_back({kind, a, b});
+    return it->second;
+  };
+  auto derive = [&](std::vector<PatternEntry>& bucket,
+                    std::vector<std::uint32_t>& root_shape) {
+    root_shape.clear();
+    for (PatternEntry& e : bucket) {
+      const PatternGraph& pg =
+          lib.gates()[e.gate_index].patterns[e.pattern_index];
+      e.shape.assign(pg.nodes.size(), ShapeTable::kLeaf);
+      for (std::size_t i = 0; i < pg.nodes.size(); ++i) {
+        const PatternNode& n = pg.nodes[i];
+        if (n.kind == PatternNode::Kind::Inv)
+          e.shape[i] = intern(n.kind, e.shape[n.fanin0], e.shape[n.fanin0]);
+        else if (n.kind == PatternNode::Kind::Nand2)
+          e.shape[i] = intern(n.kind, e.shape[n.fanin0], e.shape[n.fanin1]);
+      }
+      root_shape.push_back(e.shape[pg.root]);
+    }
+  };
+  derive(inv_rooted, inv_root_shape);
+  derive(nand_rooted, nand_root_shape);
+
+  // Parent lists: INV parents directly, NAND2 parents as CSR by child.
+  auto count = static_cast<std::uint32_t>(defs.size());
+  shapes.inv_parent.assign(count, ShapeTable::kNone);
+  shapes.nand_begin.assign(count + 1, 0);
+  for (const Def& d : defs)
+    if (d.kind == PatternNode::Kind::Nand2) {
+      ++shapes.nand_begin[d.a + 1];
+      if (d.b != d.a) ++shapes.nand_begin[d.b + 1];
+    }
+  for (std::uint32_t c = 0; c < count; ++c)
+    shapes.nand_begin[c + 1] += shapes.nand_begin[c];
+  shapes.nand_parent.assign(shapes.nand_begin[count], {});
+  std::vector<std::uint32_t> fill(shapes.nand_begin.begin(),
+                                  shapes.nand_begin.end() - 1);
+  for (std::uint32_t id = 0; id < count; ++id) {
+    const Def& d = defs[id];
+    if (d.kind == PatternNode::Kind::Inv) {
+      shapes.inv_parent[d.a] = id;
+    } else if (d.kind == PatternNode::Kind::Nand2) {
+      shapes.nand_parent[fill[d.a]++] = {d.b, id};
+      if (d.b != d.a) shapes.nand_parent[fill[d.b]++] = {d.a, id};
+    }
+  }
 }
 
 bool PatternIndex::matches_shape(const GateLibrary& lib) const {

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-
-#include "match/matcher.hpp"
-#include "netlist/assert.hpp"
+#include <vector>
 
 namespace dagmap {
 
@@ -15,19 +13,6 @@ T sat_add(T a, std::uint32_t b) {
   std::uint32_t sum = static_cast<std::uint32_t>(a) + b;
   constexpr std::uint32_t kMax = std::numeric_limits<T>::max();
   return static_cast<T>(sum > kMax ? kMax : sum);
-}
-
-// Prepends kind `k` to every tracked sequence of `mask`: the length-l
-// group (bits [2^l, 2^(l+1))) maps into the length-(l+1) group, offset by
-// k * 2^l inside it, dropping sequences already at full length.
-std::uint64_t prepend_kind(std::uint64_t mask, unsigned k) {
-  std::uint64_t out = 0;
-  for (unsigned l = 1; l < kSignaturePathDepth; ++l) {
-    std::uint64_t width = 1ull << l;  // group size == value range
-    std::uint64_t group = (mask >> width) & ((1ull << width) - 1);
-    out |= group << (2 * width + (k ? width : 0));
-  }
-  return out;
 }
 
 // Collects the required kind-sequences of every root path of `pg`,
@@ -51,42 +36,6 @@ void collect_pattern_paths(const PatternGraph& pg, std::uint32_t p,
 }
 
 }  // namespace
-
-std::vector<NodeSignature> compute_subject_signatures(const Network& subject) {
-  std::vector<NodeSignature> sig(subject.size());
-  for (NodeId n : subject.topo_order()) {
-    NodeSignature& s = sig[n];
-    if (subject.is_source(n)) {
-      s.size_ub = 1;
-      continue;
-    }
-    NodeKind kind = subject.kind(n);
-    DAGMAP_ASSERT_MSG(kind == NodeKind::Inv || kind == NodeKind::Nand2,
-                      "subject signatures require a NAND2/INV subject graph");
-    unsigned k = kind == NodeKind::Nand2 ? 1 : 0;
-    s.depth = 1;
-    s.size_ub = 1;
-    s.inv_ub = k ? 0 : 1;
-    s.nand_ub = k ? 1 : 0;
-    s.paths = 1ull << (2 + k);
-    for (NodeId f : subject.fanins(n)) {
-      const NodeSignature& c = sig[f];
-      s.depth = std::max<std::uint16_t>(s.depth, sat_add(c.depth, 1));
-      s.size_ub = sat_add(s.size_ub, c.size_ub);
-      s.inv_ub = sat_add(s.inv_ub, c.inv_ub);
-      s.nand_ub = sat_add(s.nand_ub, c.nand_ub);
-      s.paths |= prepend_kind(c.paths, k);
-      // Cumulative near counts: within distance d of n = self + within
-      // distance d-1 of each child (multiplicity-summed upper bound).
-      for (unsigned kk = 0; kk < 2; ++kk)
-        for (unsigned d = kSignatureNearDepth; d-- > 1;)
-          s.near[kk][d] = sat_add(s.near[kk][d], c.near[kk][d - 1]);
-    }
-    for (unsigned d = 0; d < kSignatureNearDepth; ++d)
-      s.near[k][d] = sat_add(s.near[k][d], 1u);
-  }
-  return sig;
-}
 
 PatternSignature compute_pattern_signature(const PatternGraph& pg) {
   PatternSignature s;
@@ -141,23 +90,6 @@ PatternSignature compute_pattern_signature(const PatternGraph& pg) {
 
   collect_pattern_paths(pg, pg.root, 0, 0, s.paths);
   return s;
-}
-
-bool signature_admits(const PatternSignature& p, const NodeSignature& s,
-                      MatchClass mc) {
-  // Sound for every match class: paths and chains embed 1:1 even when
-  // node bindings repeat (the subject is acyclic, so a pattern path maps
-  // to a genuine downward subject path).
-  if (p.depth > s.depth) return false;
-  if ((p.paths & ~s.paths) != 0) return false;
-  if (mc == MatchClass::Extended) return true;
-  // One-to-one classes only: injective node counting.
-  if (p.inv_count > s.inv_ub || p.nand_count > s.nand_ub) return false;
-  if (p.total > s.size_ub) return false;
-  for (unsigned k = 0; k < 2; ++k)
-    for (unsigned d = 0; d < kSignatureNearDepth; ++d)
-      if (p.near[k][d] > s.near[k][d]) return false;
-  return true;
 }
 
 }  // namespace dagmap

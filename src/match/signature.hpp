@@ -1,49 +1,25 @@
-// Structural signatures: O(1) pre-match pruning for the pattern index.
+// Pattern signatures: a structural summary of one pattern graph.
 //
-// Matching a pattern at a subject node is a backtracking walk; with rich
-// libraries (44-3: 625 gates, patterns up to ~40 nodes) most walks fail
-// after a few steps, but even a failed walk costs setup work per
-// (root, pattern) pair.  Signatures reject most hopeless pairs with a
-// handful of integer compares before any walk starts.
+// The matcher no longer consults them: the shape automaton
+// (match/pattern_index.hpp, DESIGN.md §7) prunes every (root, pattern)
+// pair a signature could, and more.  `PatternSignature` survives only
+// because the compiled-library artifact (libcache/compiled_library.*)
+// serializes one per pattern-index entry; it goes at the next artifact
+// format bump.
 //
-// A signature summarizes the downward structure visible from a node:
-//
-//   * depth     — longest chain of internal (Inv/Nand2) nodes starting at
-//                 the node (inclusive).  Any root-to-leaf path of the
-//                 pattern maps onto a downward subject chain of the same
-//                 length, so `pattern.depth <= subject.depth` is necessary
-//                 for every match class.
-//   * paths     — bitset of the kind-sequences (Inv/Nand2) of all downward
-//                 internal paths of length <= kSignaturePathDepth starting
-//                 at the node.  Every pattern root path's kind prefix must
-//                 appear verbatim in the subject, under every match class.
-//   * counts    — per-kind node counts.  Under one-to-one match classes
-//                 (Standard/Exact) the pattern's internal nodes map
-//                 injectively into the subject cone, so the pattern's
-//                 exact counts must not exceed the subject cone's counts.
-//                 Subject counts are *upper bounds* (children summed with
-//                 multiplicity, saturating): an overestimate only weakens
-//                 pruning, never soundness.  Not applied to Extended
-//                 matches, which may bind one subject node repeatedly.
-//   * near      — cumulative per-kind counts within distance 1..3 of the
-//                 node, same one-to-one argument restricted to the
-//                 neighborhood where the multiplicity overestimate stays
-//                 tight.  Not applied to Extended matches.
-//
-// Soundness contract (tested exhaustively in tests/match/test_signature):
-// `signature_admits(p, s, mc) == false` implies the backtracking walk of
-// that pattern at that node finds no match of class `mc`.
+//   * depth  — internal nodes on the longest root-to-leaf path;
+//   * counts — exact per-kind node counts, and within distance 1..3 of
+//              the root (`near`);
+//   * paths  — bitset of the kind-sequences (Inv/Nand2) of all downward
+//              internal paths of length <= kSignaturePathDepth from the
+//              root.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "library/pattern.hpp"
-#include "netlist/network.hpp"
 
 namespace dagmap {
-
-enum class MatchClass : std::uint8_t;  // defined in match/matcher.hpp
 
 /// Longest kind-sequence tracked by the `paths` bitset.  Sequences of
 /// length 1..kSignaturePathDepth are heap-indexed into a 64-bit word:
@@ -53,18 +29,6 @@ inline constexpr unsigned kSignaturePathDepth = 5;
 
 /// Distance horizon of the near-root per-kind counts.
 inline constexpr unsigned kSignatureNearDepth = 3;
-
-/// Signature of one subject node (all-zero except size for sources).
-struct NodeSignature {
-  std::uint16_t depth = 0;    ///< longest downward internal chain, inclusive
-  std::uint16_t size_ub = 0;  ///< saturating UB on distinct cone nodes (sources incl.)
-  std::uint16_t inv_ub = 0;   ///< saturating UB on distinct Inv nodes in the cone
-  std::uint16_t nand_ub = 0;  ///< saturating UB on distinct Nand2 nodes in the cone
-  /// Cumulative per-kind counts within distance d (saturating UB):
-  /// near[0][d-1] = Inv within d, near[1][d-1] = Nand2 within d.
-  std::uint8_t near[2][kSignatureNearDepth] = {};
-  std::uint64_t paths = 0;  ///< downward kind-sequence bitset (see above)
-};
 
 /// Signature of one pattern graph (exact counts, required paths).
 struct PatternSignature {
@@ -76,16 +40,7 @@ struct PatternSignature {
   std::uint64_t paths = 0;  ///< kind-sequences required at the match root
 };
 
-/// One bottom-up pass over the subject graph; sources get the trivial
-/// signature.  Index by NodeId.
-std::vector<NodeSignature> compute_subject_signatures(const Network& subject);
-
 /// Signature of a pattern graph (root must be internal).
 PatternSignature compute_pattern_signature(const PatternGraph& pg);
-
-/// True when the signatures do not rule out a match of class `mc` of the
-/// pattern rooted at the subject node.  False means provably no match.
-bool signature_admits(const PatternSignature& p, const NodeSignature& s,
-                      MatchClass mc);
 
 }  // namespace dagmap

@@ -23,9 +23,10 @@ struct Rng {
   }
 };
 
-// Generic word evaluation of a logic node's truth table.
-std::uint64_t eval_logic(const TruthTable& f,
-                         std::span<const std::uint64_t> fanin_words) {
+}  // namespace
+
+std::uint64_t eval_logic_lanes(const TruthTable& f,
+                               std::span<const std::uint64_t> fanin_words) {
   std::uint64_t out = 0;
   for (unsigned lane = 0; lane < 64; ++lane) {
     std::size_t m = 0;
@@ -36,7 +37,34 @@ std::uint64_t eval_logic(const TruthTable& f,
   return out;
 }
 
-}  // namespace
+std::uint64_t eval_logic_shannon(const TruthTable& f,
+                                 std::span<const std::uint64_t> fanin_words,
+                                 std::span<std::uint64_t> scratch) {
+  std::size_t k = fanin_words.size();
+  std::size_t n = std::size_t{1} << k;
+  DAGMAP_ASSERT(f.num_minterms() >= n && scratch.size() >= n);
+  // One all-ones / all-zeros word per minterm...
+  std::span<const std::uint64_t> table = f.words();
+  for (std::size_t m = 0; m < n; ++m)
+    scratch[m] = std::uint64_t{0} - ((table[m >> 6] >> (m & 63)) & 1);
+  // ...then fold the top variable away, 2^k - 1 word muxes in all:
+  // minterm m + half differs from m exactly in variable v.
+  for (std::size_t v = k; v-- > 0;) {
+    std::size_t half = std::size_t{1} << v;
+    std::uint64_t x = fanin_words[v];
+    for (std::size_t m = 0; m < half; ++m)
+      scratch[m] = (scratch[m] & ~x) | (scratch[m + half] & x);
+  }
+  return scratch[0];
+}
+
+std::uint64_t eval_logic(const TruthTable& f,
+                         std::span<const std::uint64_t> fanin_words) {
+  if (fanin_words.size() > kShannonMaxInputs)
+    return eval_logic_lanes(f, fanin_words);
+  std::uint64_t scratch[std::size_t{1} << kShannonMaxInputs];
+  return eval_logic_shannon(f, fanin_words, scratch);
+}
 
 std::string EquivalenceResult::counterexample_hex() const {
   if (counterexample.empty()) return "0x0";

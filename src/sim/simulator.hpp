@@ -11,6 +11,7 @@
 // exactly the transformation under which mapping must preserve behaviour.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -26,6 +27,26 @@ namespace dagmap {
 /// latch D inputs.
 std::vector<std::uint64_t> simulate64(const Network& net,
                                       std::span<const std::uint64_t> source_words);
+
+/// Widest logic node `eval_logic` evaluates by Shannon reduction; wider
+/// ones take the per-lane loop (2^16 word muxes would lose to 64 lanes).
+inline constexpr std::size_t kShannonMaxInputs = 8;
+
+/// Value of a logic node's truth table `f` on 64 input vectors at once:
+/// lane L of the result is f at the minterm whose bit i is lane L of
+/// `fanin_words[i]` (one word per variable of f).
+std::uint64_t eval_logic(const TruthTable& f,
+                         std::span<const std::uint64_t> fanin_words);
+
+/// `eval_logic` one lane at a time: 64 truth-table lookups.
+std::uint64_t eval_logic_lanes(const TruthTable& f,
+                               std::span<const std::uint64_t> fanin_words);
+
+/// `eval_logic` by Shannon mux reduction over whole words: 2^k - 1 muxes
+/// for k inputs, in `scratch` (at least 2^k words).
+std::uint64_t eval_logic_shannon(const TruthTable& f,
+                                 std::span<const std::uint64_t> fanin_words,
+                                 std::span<std::uint64_t> scratch);
 
 /// Result of an equivalence check; `counterexample` is meaningful only
 /// when `equivalent` is false (one bit per source, same order as

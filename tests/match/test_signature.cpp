@@ -1,8 +1,7 @@
-// Signature-index soundness: a pruned (root, pattern) pair must be one
-// the backtracking walk would also reject.  Checked both directly (every
-// pattern signature vs every subject node signature, cross-checked
-// against the unpruned walk) and end-to-end (indexed and unindexed
-// matchers enumerate identical match sets).
+// Pattern signatures (kept for the compiled-library artifact) and the
+// end-to-end pruning contract: with and without pre-match pruning (the
+// shape automaton, tests/match/test_shape_automaton.cpp) the matchers
+// enumerate identical match sets.
 #include "match/signature.hpp"
 
 #include <gtest/gtest.h>
@@ -51,76 +50,8 @@ TEST(Signature, Nand2PatternSignature) {
   EXPECT_EQ(s.paths, 1ull << 3);
 }
 
-TEST(Signature, SubjectChainSignatures) {
-  // x -> inv -> nand(inv, y): depth/count/path bookkeeping on a chain.
-  Network n("chain");
-  NodeId x = n.add_input("x");
-  NodeId y = n.add_input("y");
-  NodeId i = n.add_inv(x);
-  NodeId g = n.add_nand2(i, y);
-  n.add_output(g, "o");
-  auto sig = compute_subject_signatures(n);
-
-  EXPECT_EQ(sig[x].depth, 0);
-  EXPECT_EQ(sig[x].size_ub, 1);
-  EXPECT_EQ(sig[i].depth, 1);
-  EXPECT_EQ(sig[i].inv_ub, 1);
-  EXPECT_EQ(sig[i].nand_ub, 0);
-  EXPECT_EQ(sig[g].depth, 2);
-  EXPECT_EQ(sig[g].inv_ub, 1);
-  EXPECT_EQ(sig[g].nand_ub, 1);
-  EXPECT_EQ(sig[g].size_ub, 4);  // g, i, x, y
-  // g's paths: "N" (idx 3) and "N,I" (idx 4 + 0b10 = 6).
-  EXPECT_EQ(sig[g].paths, (1ull << 3) | (1ull << 6));
-  // Near counts at g: inv within 2 = 1, nand within 1 = 1.
-  EXPECT_EQ(sig[g].near[0][0], 0);  // inv at distance <= 1... distance 1 = i
-  EXPECT_EQ(sig[g].near[1][0], 1);  // nand within 1 (g itself)
-}
-
-TEST(Signature, AdmitsIsNecessaryOnMultiplier) {
-  // Exhaustive (root, pattern) cross-check on an array multiplier: if the
-  // signature rejects the pair, the unpruned backtracking walk must find
-  // no match of that pattern's gate shape rooted there.
-  Network subject = tech_decompose(make_array_multiplier(4));
-  GateLibrary lib = make_lib2_library();
-  Matcher unpruned(lib, subject, {.use_signature_index = false});
-  auto sigs = compute_subject_signatures(subject);
-
-  for (MatchClass mc :
-       {MatchClass::Exact, MatchClass::Standard, MatchClass::Extended}) {
-    for (NodeId n = 0; n < subject.size(); ++n) {
-      if (subject.is_source(n)) continue;
-      // Gate name -> any match present, from the full enumeration.
-      std::set<MatchKey> all = match_set(unpruned, n, mc);
-      std::set<std::string> matched_gates;
-      for (const auto& [gate, pins, covered] : all) matched_gates.insert(gate);
-
-      for (const Gate& g : lib.gates()) {
-        bool any_pattern_admitted = false;
-        for (const PatternGraph& p : g.patterns) {
-          const PatternNode& root = p.nodes[p.root];
-          bool kind_ok =
-              (root.kind == PatternNode::Kind::Inv &&
-               subject.kind(n) == NodeKind::Inv) ||
-              (root.kind == PatternNode::Kind::Nand2 &&
-               subject.kind(n) == NodeKind::Nand2);
-          if (kind_ok &&
-              signature_admits(compute_pattern_signature(p), sigs[n], mc))
-            any_pattern_admitted = true;
-        }
-        // Soundness: every pattern pruned => the gate cannot match at n.
-        if (!any_pattern_admitted) {
-          EXPECT_EQ(matched_gates.count(g.name), 0u)
-              << "signature pruned all patterns of " << g.name << " at node "
-              << n << " (" << to_string(mc) << ") but a match exists";
-        }
-      }
-    }
-  }
-}
-
 TEST(Signature, IndexedMatcherEnumeratesIdenticalSets) {
-  // End-to-end: with and without the index, the match sets agree at every
+  // End-to-end: with and without pruning, the match sets agree at every
   // root, for every match class, on lib2 and on a rich 44-family library.
   Network subject = tech_decompose(make_array_multiplier(4));
   for (int lib_id = 0; lib_id < 2; ++lib_id) {
@@ -136,30 +67,11 @@ TEST(Signature, IndexedMatcherEnumeratesIdenticalSets) {
             << lib.name();
       }
     }
-    // The index must actually fire on the rich library.
+    // Pruning must actually fire on the rich library.
     if (lib_id == 1) {
       EXPECT_GT(with.pruned(), 0u);
     }
     EXPECT_EQ(without.pruned(), 0u);
-  }
-}
-
-TEST(Signature, PrunesDeepPatternAtShallowRoot) {
-  // A shallow subject node must reject any deep pattern in O(1).
-  GateLibrary lib = make_lib2_library();
-  Network n("shallow");
-  NodeId a = n.add_input("a");
-  NodeId b = n.add_input("b");
-  NodeId g = n.add_nand2(a, b);
-  n.add_output(g, "o");
-  auto sigs = compute_subject_signatures(n);
-  for (const Gate& gate : lib.gates()) {
-    for (const PatternGraph& p : gate.patterns) {
-      PatternSignature ps = compute_pattern_signature(p);
-      if (ps.depth <= 1) continue;
-      EXPECT_FALSE(signature_admits(ps, sigs[g], MatchClass::Standard))
-          << gate.name << " depth " << ps.depth;
-    }
   }
 }
 

@@ -1,5 +1,5 @@
-// Fuzz coverage for the PR-1 signature index: the index is a pure
-// *screen* — it may only reject (root, pattern) pairs that cannot match.
+// Fuzz coverage for pre-match pruning (the shape automaton): it is a
+// pure *screen* — it may only reject (root, pattern) pairs that cannot match.
 // For 200 seeded (circuit, library) pairs we enumerate every match at
 // every internal node with screening enabled and disabled and require
 // identical match sets, for both match classes.  (CTest label `fuzz`.)

@@ -1,7 +1,7 @@
 // Shared NPN library index: canonical cut function -> matching gates.
 //
 // Both Boolean mappers — the exhaustive-cut ablation (bool_mapper.cpp)
-// and the priority-cut engine (cutmap/cut_mapper.cpp) — answer the same
+// and the mapping driver's cut source (core/dag_mapper.cpp) — answer the same
 // query: which library gates implement this cut function up to input
 // negation/permutation and output negation, and through which transform?
 // This index canonicalizes every eligible gate function once (1..4

@@ -244,7 +244,7 @@ FuzzReport run_fuzz_instance(const FuzzInstance& instance,
     // weakening the bound: the structural matches are always candidates.
     CutMapOptions copt;
     copt.match_class = MatchClass::Standard;
-    copt.cut_count = 4;
+    copt.cuts.count = 4;
     MapResult cut = cut_map(subject, lib, copt);
     if (options.inject_backend_bug)
       cut.optimal_delay = std_map.optimal_delay + 1.0;
@@ -305,7 +305,7 @@ FuzzReport run_fuzz_instance(const FuzzInstance& instance,
                             .choices = &choice.classes});
     CutMapOptions ccopt;
     ccopt.match_class = MatchClass::Standard;
-    ccopt.cut_count = 4;
+    ccopt.cuts.count = 4;
     ccopt.choices = &choice.classes;
     MapResult cut_on = cut_map(choice.subject, lib, ccopt);
     if (options.inject_choice_bug)

@@ -1,104 +1,40 @@
-// Priority-cut Boolean mapping engine — the second backend.
+// Priority-cut Boolean mapping — the second candidate source of the one
+// mapping driver (core/dag_mapper.hpp).
 //
 // The paper's `dag_map` is delay-optimal only with respect to the
-// matches the structural decomposition happens to expose; this engine
-// matches *functions* instead: bounded priority-cut enumeration per node
+// matches the structural decomposition happens to expose; this source
+// matches *functions* too: bounded priority-cut enumeration per node
 // (cut_set.hpp), NPN canonization of each cut's truth table, and a
-// lookup in the shared NPN library index (boolmatch/npn_index.hpp), with
+// lookup in the NPN library index (boolmatch/npn_index.hpp), with
 // input/output negations materialized as explicit inverters by the
-// shared mapnet cover emission.  Per node the candidate set is the
-// *union* of the structural matches and the NPN cut matches, which gives
-// the delay-dominance guarantee the fuzz harness cross-checks: by
-// induction over the topological order the cut backend's label at every
-// node is <= the structural backend's label, hence mapped delay is never
-// worse (and usually better where the decomposition hid a match).
+// mapnet cover emission.  Per node the candidate set is the *union* of
+// the structural matches and the NPN cut matches, which gives the
+// delay-dominance guarantee the fuzz harness cross-checks: by induction
+// over the topological order the cut source's label at every node is
+// <= the structural source's label, hence mapped delay is never worse
+// (and usually better where the decomposition hid a match).
 //
-// After the delay-optimal labeling pass, `rounds > 1` runs abc-zz
-// LutMap-style area-recovery iterations: required times are seeded at
-// `optimal_delay * delay_factor` and relaxed backward, and each needed
-// node re-selects the candidate of minimum area flow among those meeting
-// its required time — the candidate space is the round-0 priority cuts,
-// so labels never change and the delay bound survives every round.
-// Round 1 amortizes leaf area over subject fanout counts; later rounds
-// use the previous round's cover reference counts (LutMap's
-// `recycle_cuts` reuses the stored round-0 cut sets; turning it off
-// recomputes them from the same frozen ranking inputs, bit-identically —
-// a memory/time knob, never a result knob).
-//
-// Scheduling, partitioned pipeline, determinism and the mark/emit cover
-// split are shared with `dag_map`: results are bit-identical at any
-// thread count, with or without partitioning, and with recycling on or
-// off.
+// Scheduling, the partitioned pipeline, determinism, choice pricing,
+// load-aware rounds, the area-recovery rounds and the cover are the
+// driver's: results are bit-identical at any thread count and with or
+// without partitioning.  The round-0 cut sets are kept for the area
+// rounds, so their candidate space is exactly the labeling pass's.
 #pragma once
 
 #include "boolmatch/npn_index.hpp"
-#include "core/dag_mapper.hpp"  // MapResult, PartitionMode
+#include "core/dag_mapper.hpp"
 #include "library/gate_library.hpp"
 #include "netlist/network.hpp"
 
 namespace dagmap {
 
-/// Options for the priority-cut mapper (`dagmap_cli --backend=cuts`).
-struct CutMapOptions {
-  /// Maximum cut leaves (2..4; bounded by the NPN machinery).
-  unsigned cut_size = 4;
-  /// Priority cuts kept per node (trivial cut excluded), abc-zz LutMap's
-  /// `cuts_per_node`.
-  unsigned cut_count = 8;
-  /// Mapping rounds: 1 = the pure delay-optimal pass; each extra round
-  /// is an area-recovery re-selection under required times (LutMap's
-  /// `n_rounds`).
-  unsigned rounds = 1;
-  /// Required-time slack for the area rounds, as a factor of the optimal
-  /// delay (LutMap's `delay_factor`; clamped from below to 1.0).
-  double delay_factor = 1.0;
-  /// Keep the round-0 cut sets in memory across area rounds (off
-  /// recomputes them per round from the same frozen ranking inputs —
-  /// bit-identical results, lower peak memory, more time).
-  bool recycle_cuts = true;
-  /// Match class for the structural half of the candidate union.
-  MatchClass match_class = MatchClass::Standard;
-  double epsilon = 1e-9;
-  /// Worker threads (0 = all hardware threads); bit-identical results at
-  /// any value.
-  unsigned num_threads = 1;
-  bool use_signature_index = true;
-  /// Record per-phase timings/counters into `MapResult::profile`.
-  bool profile = false;
-  /// Partitioned-pipeline selection (see core/dag_mapper.hpp).
-  PartitionMode partition_mode = PartitionMode::Auto;
-  std::uint32_t partition_window = 1024;
-  std::size_t partition_auto_threshold = 200000;
-  /// Library-side structural pre-index to reuse (serve mode / compiled
-  /// libraries); null builds one per call.
-  const PatternIndex* pattern_index = nullptr;
-  /// NPN library index to reuse (serve mode: npn_index_from_compiled);
-  /// null builds one per call.  Bit-identical either way.
-  const NpnLibraryIndex* npn_index = nullptr;
-  /// Iterated load-aware mapping (dagmap/load_rounds.hpp), same contract
-  /// as DagMapOptions::load_rounds: N re-pricing rounds under
-  /// `load_model`, best measured round kept — never worse than the
-  /// load-oblivious mapping under the same model.
-  unsigned load_rounds = 0;
-  LoadModel load_model;
-  /// Choice annotation of the subject, same contract as
-  /// `DagMapOptions::choices`: non-null and active prices every
-  /// candidate leaf per choice class through the shared `ChoicePricing`
-  /// hook, merges the class members' priority cuts into the anchor's
-  /// set at fold time (so readers see every variant's cuts), and
-  /// rewrites selections onto the class-best variants.
-  /// `recycle_cuts` is forced on while choices are active (recomputing
-  /// cut sets would drop the merged classes).  Null reproduces the
-  /// unannotated flow bit-identically.
-  const ChoiceClasses* choices = nullptr;
-};
-
-/// Maps `subject` (a NAND2/INV subject graph) onto `lib` with the
-/// priority-cut Boolean engine.  The library must contain an inverter
-/// and a 2-input NAND.  `MapResult::label` holds the per-node optimal
-/// arrivals under the (structural ∪ NPN-cut) match space — pointwise <=
-/// `dag_map`'s labels for the same inputs.
-MapResult cut_map(const Network& subject, const GateLibrary& lib,
-                  const CutMapOptions& options = {});
+/// `map` with the cut candidate source.  `MapResult::label` holds the
+/// per-node optimal arrivals under the (structural ∪ NPN-cut) match
+/// space — pointwise <= `dag_map`'s labels for the same inputs.
+inline MapResult cut_map(const Network& subject, const GateLibrary& lib,
+                         MapOptions options = {}) {
+  options.source = CandidateSource::Cuts;
+  return map(subject, lib, options);
+}
 
 }  // namespace dagmap

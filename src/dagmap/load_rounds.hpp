@@ -25,9 +25,9 @@
 // the previous round, so the whole flow is bit-identical at any thread
 // count (the mapper's own guarantee carries through unchanged).
 //
-// Both backends run through here: dag_map on DagMapOptions::load_rounds
-// and cut_map on CutMapOptions::load_rounds hand this driver a "map
-// once against this library" callback.
+// Both candidate sources run through here: `map` (core/dag_mapper.hpp)
+// on MapOptions::load_rounds hands this driver a "map once against this
+// library" callback.
 #pragma once
 
 #include <functional>

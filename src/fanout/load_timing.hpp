@@ -20,6 +20,8 @@ struct LoadModel {
   double wire_load_per_fanout = 0.2;  ///< added to the net per fanout edge
   double primary_output_load = 1.0;   ///< load a PO pin presents
   double latch_input_load = 1.0;      ///< load a latch D pin presents
+
+  bool operator==(const LoadModel&) const = default;
 };
 
 /// Load-aware timing annotation.

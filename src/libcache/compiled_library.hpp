@@ -103,7 +103,7 @@ struct CompiledLibrary {
   std::vector<GenlibGate> gates;
   GateLibrary library;
   /// Library-side pattern pre-index, shared by every Matcher built
-  /// against this library (pass as DagMapOptions::pattern_index).
+  /// against this library (pass as MapOptions::pattern_index).
   PatternIndex index;
   /// npn_class_of[i] = class id of library gate i (kNoNpnClass when the
   /// gate has more than 6 inputs or is constant).
@@ -148,7 +148,7 @@ void save_compiled_library_file(const CompiledLibrary& lib,
 LibraryLoadResult load_compiled_library_file(const std::string& path);
 
 /// Builds the NPN library index the priority-cut backend consumes
-/// (CutMapOptions::npn_index), seeding each gate's canonicalization with
+/// (MapOptions::npn_index), seeding each gate's canonicalization with
 /// the compiled bundle's stored NPN class keys: classes of <= 4
 /// variables are true NPN-canonical representatives, so the 768-
 /// transform minimum scan collapses to an early-exiting search.

@@ -1,16 +1,18 @@
 #include "libcache/serve.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <istream>
 #include <optional>
 #include <ostream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "boolmatch/npn_index.hpp"
 #include "core/dag_mapper.hpp"
 #include "core/parallel.hpp"
-#include "cutmap/cut_mapper.hpp"
 #include "decomp/choices.hpp"
 #include "decomp/tech_decomp.hpp"
 #include "io/blif.hpp"
@@ -32,20 +34,10 @@ struct Request {
   std::string circuit;
   std::string library;
   LibCompileOptions compile;
-  MatchClass match_class = MatchClass::Standard;
-  bool area_recovery = false;
+  /// Mapping knobs, checked by validate_map_options; threads, indexes
+  /// and the choice annotation are filled in per request at map time.
+  MapOptions map;
   bool verify = false;
-  bool profile = false;
-  /// "structural" (dag_map, the default) or "cuts" (the priority-cut
-  /// Boolean engine) with its knobs.
-  bool cut_backend = false;
-  unsigned cut_size = 4;
-  unsigned cut_count = 8;
-  unsigned rounds = 1;
-  double delay_factor = 1.0;
-  /// Iterated load-aware mapping rounds (dagmap/load_rounds.hpp); both
-  /// backends honor it.
-  unsigned load_rounds = 0;
   /// Choice-aware mapping: `"choices": true` (all generators) or a
   /// comma list of generator names (decomp/choices.hpp); both backends
   /// honor it.
@@ -62,6 +54,16 @@ struct Slot {
   bool is_error = false;
   bool profiled = false;
 };
+
+/// Member `key` of `o` as an unsigned integer (`fallback` if absent).
+/// Only the representation is checked here; validate_map_options owns
+/// the ranges.
+unsigned get_unsigned(const JsonValue& o, const char* key, unsigned fallback) {
+  double v = o.get_number(key, fallback);
+  if (!(v >= 0 && v <= 4294967295.0) || v != std::floor(v))
+    throw libcache::FormatError(std::string("bad \"") + key + "\" value");
+  return static_cast<unsigned>(v);
+}
 
 std::string error_line(std::uint64_t id, const std::string& message) {
   return "{\"ok\": false, \"id\": " + std::to_string(id) +
@@ -99,42 +101,37 @@ bool parse_request(const std::string& line, const ServeOptions& sopt,
     if (const JsonValue* o = v.find("options")) {
       if (!o->is_object())
         throw libcache::FormatError("\"options\" must be an object");
+      // A misspelled option would otherwise map with its default.
+      static constexpr std::string_view kKnown[] = {
+          "supergates", "match",        "area_recovery", "verify",
+          "profile",    "backend",      "cut_size",      "cut_count",
+          "rounds",     "delay_factor", "load_rounds",   "choices"};
+      for (const auto& member : o->members)
+        if (std::ranges::find(kKnown, member.first) == std::end(kKnown))
+          throw libcache::FormatError("unknown option " +
+                                      json_quote(member.first));
       double depth = o->get_number("supergates",
                                    slot.req.compile.supergate_depth);
       if (depth < 0 || depth > 8)
         throw libcache::FormatError("bad \"supergates\" depth");
       slot.req.compile.supergate_depth = static_cast<unsigned>(depth);
+      MapOptions& m = slot.req.map;
       std::string match = o->get_string("match", "standard");
-      if (match == "extended") slot.req.match_class = MatchClass::Extended;
+      if (match == "extended") m.match_class = MatchClass::Extended;
       else if (match != "standard")
         throw libcache::FormatError("bad \"match\" value " + match);
-      slot.req.area_recovery = o->get_bool("area_recovery", false);
+      m.area_recovery = o->get_bool("area_recovery", false);
       slot.req.verify = o->get_bool("verify", false);
-      slot.req.profile = o->get_bool("profile", false);
+      m.profile = o->get_bool("profile", false);
       std::string backend = o->get_string("backend", "structural");
-      if (backend == "cuts") slot.req.cut_backend = true;
+      if (backend == "cuts") m.source = CandidateSource::Cuts;
       else if (backend != "structural")
         throw libcache::FormatError("bad \"backend\" value " + backend);
-      double cut_size = o->get_number("cut_size", slot.req.cut_size);
-      if (cut_size < 2 || cut_size > 4)
-        throw libcache::FormatError("bad \"cut_size\" (want 2..4)");
-      slot.req.cut_size = static_cast<unsigned>(cut_size);
-      double cut_count = o->get_number("cut_count", slot.req.cut_count);
-      if (cut_count < 1 || cut_count > 64)
-        throw libcache::FormatError("bad \"cut_count\" (want 1..64)");
-      slot.req.cut_count = static_cast<unsigned>(cut_count);
-      double rounds = o->get_number("rounds", slot.req.rounds);
-      if (rounds < 1 || rounds > 16)
-        throw libcache::FormatError("bad \"rounds\" (want 1..16)");
-      slot.req.rounds = static_cast<unsigned>(rounds);
-      slot.req.delay_factor =
-          o->get_number("delay_factor", slot.req.delay_factor);
-      if (slot.req.delay_factor < 1.0 || slot.req.delay_factor > 100.0)
-        throw libcache::FormatError("bad \"delay_factor\" (want >= 1)");
-      double load_rounds = o->get_number("load_rounds", 0);
-      if (load_rounds < 0 || load_rounds > 16)
-        throw libcache::FormatError("bad \"load_rounds\" (want 0..16)");
-      slot.req.load_rounds = static_cast<unsigned>(load_rounds);
+      m.cuts.size = get_unsigned(*o, "cut_size", m.cuts.size);
+      m.cuts.count = get_unsigned(*o, "cut_count", m.cuts.count);
+      m.rounds = get_unsigned(*o, "rounds", m.rounds);
+      m.delay_factor = o->get_number("delay_factor", m.delay_factor);
+      m.load_rounds = get_unsigned(*o, "load_rounds", m.load_rounds);
       if (const JsonValue* c = o->find("choices")) {
         if (c->kind == JsonValue::Kind::Bool) {
           slot.req.choices = c->boolean;
@@ -152,6 +149,8 @@ bool parse_request(const std::string& line, const ServeOptions& sopt,
         }
       }
     }
+    if (std::string why = validate_map_options(slot.req.map); !why.empty())
+      throw libcache::FormatError(why);
     return true;
   } catch (const std::exception& e) {
     slot.response = error_line(slot.id, e.what());
@@ -182,36 +181,17 @@ std::string handle_request(const Slot& slot) {
     subject = tech_decompose(circuit);
   }
 
-  MapResult result;
-  if (req.cut_backend) {
-    CutMapOptions copt;
-    copt.match_class = req.match_class;
-    copt.cut_size = req.cut_size;
-    copt.cut_count = req.cut_count;
-    copt.rounds = req.rounds;
-    copt.delay_factor = req.delay_factor;
-    copt.num_threads = 1;
-    copt.profile = req.profile;
-    copt.load_rounds = req.load_rounds;
-    copt.choices = classes;
-    copt.pattern_index = &slot.lib->index;
-    // Per-request index build, seeded by the compiled bundle's stored
-    // NPN classes (cheap: early-exiting transform search per gate), so
-    // concurrent batch workers never share mutable state.
-    NpnLibraryIndex npn = npn_index_from_compiled(*slot.lib);
-    copt.npn_index = &npn;
-    result = cut_map(subject, slot.lib->library, copt);
-  } else {
-    DagMapOptions mopt;
-    mopt.match_class = req.match_class;
-    mopt.area_recovery = req.area_recovery;
-    mopt.num_threads = 1;
-    mopt.profile = req.profile;
-    mopt.load_rounds = req.load_rounds;
-    mopt.choices = classes;
-    mopt.pattern_index = &slot.lib->index;
-    result = dag_map(subject, slot.lib->library, mopt);
-  }
+  const bool cuts = req.map.source == CandidateSource::Cuts;
+  MapOptions mopt = req.map;
+  mopt.num_threads = 1;
+  mopt.choices = classes;
+  mopt.pattern_index = &slot.lib->index;
+  // Per-request NPN index build, seeded by the compiled bundle's stored
+  // NPN classes (cheap: early-exiting transform search per gate), so
+  // concurrent batch workers never share mutable state.
+  std::optional<NpnLibraryIndex> npn;
+  if (cuts) mopt.npn_index = &npn.emplace(npn_index_from_compiled(*slot.lib));
+  MapResult result = map(subject, slot.lib->library, mopt);
 
   bool verified = false;
   if (req.verify) {
@@ -236,20 +216,20 @@ std::string handle_request(const Slot& slot) {
   out += ", \"blif\": " + json_quote(write_mapped_blif(result.netlist));
   out += ", \"library\": " + json_quote(slot.lib->library.name());
   out += ", \"cache\": " + json_quote(slot.cache_source);
-  if (req.cut_backend) out += ", \"backend\": \"cuts\"";
+  if (cuts) out += ", \"backend\": \"cuts\"";
   if (req.choices) {
     out += ", \"choice_classes\": " + std::to_string(result.choice_classes);
     out += ", \"choice_variants\": " + std::to_string(result.choice_variants);
     out += ", \"choice_wins\": " + std::to_string(result.choice_wins);
   }
-  if (req.load_rounds > 0) {
+  if (req.map.load_rounds > 0) {
     out += ", \"loaded_delay\": " + json_number(result.loaded_delay);
     out += ", \"loaded_delay_round0\": " +
            json_number(result.loaded_delay_round0);
     out += ", \"load_round\": " + std::to_string(result.load_round_selected);
   }
   if (verified) out += ", \"verified\": true";
-  if (req.profile && result.profile.collected)
+  if (req.map.profile && result.profile.collected)
     out += ", \"profile\": " + json_quote(result.profile.summary());
   out += "}";
   return out;
@@ -303,7 +283,7 @@ ServeSummary run_serve(std::istream& in, std::ostream& out,
         } else {
           slots.back().lib = std::move(lib.lib);
           slots.back().cache_source = std::move(lib.source);
-          slots.back().profiled = slots.back().req.profile;
+          slots.back().profiled = slots.back().req.map.profile;
         }
       }
       if (in.rdbuf()->in_avail() <= 0) break;

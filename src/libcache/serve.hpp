@@ -13,14 +13,17 @@
 //                                                   // format anyway)
 //              "options": {"supergates": 0,         // compile: depth
 //                          "match": "standard",     // map: standard|extended
-//                          "area_recovery": false,
-//                          "backend": "structural", // or "cuts":
-//                          "cut_size": 4,           //   priority-cut
-//                          "cut_count": 8,          //   engine knobs
-//                          "rounds": 1,             //   (cutmap/)
-//                          "delay_factor": 1.0,
+//                          "backend": "structural", // or "cuts" (NPN
+//                                                   //   priority cuts)
+//                          "cut_size": 4,           // cuts only: 2..4
+//                          "cut_count": 8,          // cuts only: 1..64
+//                          "area_recovery": false,  // area rounds, both
+//                          "rounds": 1,             //   backends: 1..16
+//                          "delay_factor": 1.0,     //   1..100
 //                          "load_rounds": 0,        // load-aware rounds
 //                                                   // (dagmap/load_rounds)
+//                                                   // 0..16
+//                          "choices": false,        // or a generator list
 //                          "verify": false,         // equivalence-check
 //                          "profile": false}}       // per-request obs
 //   response: {"ok": true, "id": N, "delay": ..., "area": ...,
@@ -40,8 +43,13 @@
 // mapped result is bit-identical to a solo `dagmap_cli` run by the
 // determinism contract.  A malformed or failing request produces an
 // error response for its line and nothing else; the daemon keeps
-// serving.  Profiled requests run sequentially (the obs session is
-// process-global) after the concurrent part of their batch.
+// serving.  The mapping options fill one `MapOptions` block and pass
+// `validate_map_options`, the range check the CLI flags share; an
+// option out of range, or one the chosen backend would ignore (cut
+// knobs on "structural", a delay factor without an area round), is an
+// error line, and so is an unknown member of "options".  Profiled
+// requests run sequentially (the obs session is process-global) after
+// the concurrent part of their batch.
 //
 // Libraries resolve through an LRU LibraryRegistry, so the first
 // request against a library pays compile (or artifact load) cost and

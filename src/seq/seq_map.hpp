@@ -27,7 +27,7 @@ struct SeqMapResult {
 
 /// Options for the sequential pipeline.
 struct SeqMapOptions {
-  DagMapOptions map;       ///< combinational mapper settings
+  MapOptions map;          ///< combinational mapper settings
   bool pre_retime = true;  ///< step (1): retime the subject graph first
 };
 

@@ -181,6 +181,70 @@ TEST(DagMapper, TargetDelayRelaxation) {
   EXPECT_NEAR(circuit_delay(ri.netlist), fastest.optimal_delay, 1e-9);
 }
 
+TEST(DagMapper, AreaRoundsWorkOnTheStructuralSource) {
+  // `rounds` / `delay_factor` are not cut-source knobs: on structural
+  // candidates they relax non-critical nodes under the delay bound too.
+  GateLibrary lib = make_lib2_library();
+  Network sg = tech_decompose(make_comparator(8));
+  MapResult fastest = dag_map(sg, lib);
+  DagMapOptions o;
+  o.rounds = 3;
+  o.delay_factor = 1.2;
+  MapResult r = dag_map(sg, lib, o);
+  EXPECT_EQ(r.optimal_delay, fastest.optimal_delay);
+  EXPECT_LE(circuit_delay(r.netlist), fastest.optimal_delay * 1.2 + 1e-9);
+  EXPECT_LT(r.netlist.total_area(), fastest.netlist.total_area());
+  EXPECT_TRUE(check_equivalence(sg, r.netlist.to_network()).equivalent);
+}
+
+TEST(MapOptionsValidation, RangesAndKnobsTheSourceWouldIgnore) {
+  auto why = [](auto edit) {
+    MapOptions o;
+    edit(o);
+    return validate_map_options(o);
+  };
+  EXPECT_EQ(why([](MapOptions&) {}), "");
+  EXPECT_EQ(why([](MapOptions& o) { o.cuts.size = 5; }),
+            "bad cut size 5 (want 2..4)");
+  EXPECT_EQ(why([](MapOptions& o) { o.cuts.count = 65; }),
+            "bad cut count 65 (want 1..64)");
+  EXPECT_EQ(why([](MapOptions& o) { o.rounds = 0; }),
+            "bad rounds 0 (want 1..16)");
+  EXPECT_EQ(why([](MapOptions& o) { o.rounds = 17; }),
+            "bad rounds 17 (want 1..16)");
+  EXPECT_EQ(why([](MapOptions& o) { o.load_rounds = 17; }),
+            "bad load rounds 17 (want 0..16)");
+  EXPECT_EQ(why([](MapOptions& o) { o.delay_factor = 101; }),
+            "bad delay factor 101 (want 1..100)");
+  EXPECT_EQ(why([](MapOptions& o) { o.delay_factor = 0.5; }),
+            "bad delay factor 0.5 (want 1..100)");
+  // The cut knobs belong to the cut source.
+  EXPECT_EQ(why([](MapOptions& o) { o.cuts.count = 4; }),
+            "cut size and cut count apply to the cuts backend");
+  EXPECT_EQ(why([](MapOptions& o) {
+              o.source = CandidateSource::Cuts;
+              o.cuts.size = 3;
+              o.cuts.count = 4;
+            }),
+            "");
+  // A delay factor or target needs an area round to act on.
+  const std::string no_round =
+      "a delay factor or target applies only to area recovery "
+      "(rounds > 1 or area recovery on)";
+  EXPECT_EQ(why([](MapOptions& o) { o.delay_factor = 1.2; }), no_round);
+  EXPECT_EQ(why([](MapOptions& o) { o.target_delay = 5.0; }), no_round);
+  EXPECT_EQ(why([](MapOptions& o) {
+              o.delay_factor = 1.2;
+              o.rounds = 2;
+            }),
+            "");
+  EXPECT_EQ(why([](MapOptions& o) {
+              o.target_delay = 5.0;
+              o.area_recovery = true;
+            }),
+            "");
+}
+
 TEST(DagMapper, RicherLibraryNeverSlower) {
   Network sg = full_adder_subject();
   GateLibrary l1 = make_44_library(1);

@@ -1,7 +1,7 @@
 // The priority-cut Boolean mapping engine: correctness (simulation
 // equivalence, delay consistency), the delay-dominance guarantee against
-// the structural backend, area-recovery rounds, and the invariance knobs
-// (recycled vs recomputed cuts, shared NPN index).
+// the structural backend, area-recovery rounds, and the shared-NPN-index
+// invariance.
 #include "cutmap/cut_mapper.hpp"
 
 #include <gtest/gtest.h>
@@ -109,17 +109,20 @@ TEST(CutMap, AreaRoundsKeepTheDelayBound) {
   EXPECT_TRUE(check_equivalence(sg, rs.netlist.to_network()).equivalent);
 }
 
-TEST(CutMap, RecycledAndRecomputedCutsAreBitIdentical) {
-  // recycle_cuts is a memory/time knob, never a result knob: the area
-  // rounds recompute cut sets from the frozen phase-1 ranking inputs.
+TEST(CutMap, AreaRecoveryWorksOnTheCutSource) {
+  // `area_recovery` is not a structural-source knob: it asks the cut
+  // source for an area round too (first-wins tie; DESIGN.md §14), with
+  // the same delay bound as `rounds`.
   GateLibrary lib = make_lib2_library();
   Network sg = tech_decompose(make_comparator(8));
-  CutMapOptions on;
-  on.rounds = 3;
-  on.recycle_cuts = true;
-  CutMapOptions off = on;
-  off.recycle_cuts = false;
-  expect_same_result(cut_map(sg, lib, on), cut_map(sg, lib, off));
+  MapResult fastest = cut_map(sg, lib);
+  CutMapOptions o;
+  o.area_recovery = true;
+  MapResult r = cut_map(sg, lib, o);
+  EXPECT_EQ(r.optimal_delay, fastest.optimal_delay);
+  EXPECT_NEAR(circuit_delay(r.netlist), fastest.optimal_delay, 1e-9);
+  EXPECT_LT(r.netlist.total_area(), fastest.netlist.total_area());
+  EXPECT_TRUE(check_equivalence(sg, r.netlist.to_network()).equivalent);
 }
 
 TEST(CutMap, SharedNpnIndexIsBitIdentical) {
@@ -147,8 +150,8 @@ TEST(CutMap, SmallCutBudgetsStayComplete) {
   GateLibrary lib = make_minimal_library();
   Network sg = tech_decompose(make_parity_tree(8));
   CutMapOptions opt;
-  opt.cut_size = 2;
-  opt.cut_count = 1;
+  opt.cuts.size = 2;
+  opt.cuts.count = 1;
   MapResult r = cut_map(sg, lib, opt);
   EXPECT_TRUE(check_equivalence(sg, r.netlist.to_network()).equivalent);
 }

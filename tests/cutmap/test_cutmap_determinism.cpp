@@ -1,6 +1,6 @@
 // Priority-cut backend determinism: bit-identical results at 1/2/8
-// worker threads, with and without the partitioned pipeline, and with
-// cut recycling on or off.  This binary carries the `tsan` CTest label;
+// worker threads, with and without the partitioned pipeline, with and
+// without area rounds.  This binary carries the `tsan` CTest label;
 // build with -DDAGMAP_SANITIZE=thread to sweep the parallel cut
 // enumeration and labeling under ThreadSanitizer.
 #include <gtest/gtest.h>
@@ -54,23 +54,20 @@ TEST(CutMapDeterminism, AcrossThreadCountsAndPartitioningOnSuite) {
   }
 }
 
-TEST(CutMapDeterminism, WithAreaRoundsAndRecycling) {
+TEST(CutMapDeterminism, WithAreaRounds) {
   GateLibrary lib = make_lib2_library();
   Network subject = tech_decompose(make_alu(8));
   CutMapOptions rounds;
   rounds.rounds = 3;
   rounds.delay_factor = 1.2;
   sweep(subject, lib, rounds);
-  CutMapOptions norecycle = rounds;
-  norecycle.recycle_cuts = false;
-  sweep(subject, lib, norecycle);
 }
 
 TEST(CutMapDeterminism, WithRichLibraryAndTightCutBudget) {
   GateLibrary lib = make_44_library(2);
   Network subject = tech_decompose(make_array_multiplier(6));
   CutMapOptions o;
-  o.cut_count = 4;
+  o.cuts.count = 4;
   sweep(subject, lib, o);
 }
 

@@ -118,7 +118,8 @@ TEST(JsonLocale, ServeRoundTripsUnderCommaLocale) {
   std::string input =
       "{\"circuit\": " + std::string(json_quote(circ)) +
       ", \"library\": " + json_quote(lib_path) +
-      ", \"options\": {\"backend\": \"cuts\", \"delay_factor\": 1.5}}\n";
+      ", \"options\": {\"backend\": \"cuts\", \"rounds\": 2, "
+      "\"delay_factor\": 1.5}}\n";
 
   auto serve_once = [&]() {
     std::istringstream in(input);

@@ -245,6 +245,87 @@ TEST(Serve, VerifyOptionRunsTheEquivalenceCheck) {
   EXPECT_TRUE(responses[0].get_bool("verified"));
 }
 
+TEST(Serve, OutOfRangeOptionsAreErrorLinesAndTheNextRequestMaps) {
+  // Every mapping option passes validate_map_options (the range check the
+  // CLI shares); each bad request gets its own error line, and the next
+  // request still maps, identically to the first.
+  std::string lib = stage_genlib("full_adder");
+  std::string circ = slurp(data_path("full_adder.blif"));
+  const char* bad[] = {
+      "\"backend\": \"cuts\", \"cut_size\": 5",
+      "\"backend\": \"cuts\", \"cut_count\": 65",
+      "\"backend\": \"cuts\", \"cut_count\": 0",
+      "\"rounds\": 17",
+      "\"rounds\": 0",
+      "\"rounds\": 1e12",
+      "\"load_rounds\": 17",
+      "\"load_rounds\": -1",
+      "\"rounds\": 2, \"delay_factor\": 101",
+      "\"rounds\": 2, \"delay_factor\": 0.5",
+  };
+  std::string input;
+  for (const char* options : bad)
+    input += request_line(circ, lib, options) + "\n" +
+             request_line(circ, lib) + "\n";
+
+  ServeOptions sopt;
+  sopt.auto_save = false;
+  ServeSummary summary;
+  std::vector<JsonValue> responses = run_and_parse(input, sopt, &summary);
+  ASSERT_EQ(responses.size(), 2 * std::size(bad));
+  EXPECT_EQ(summary.errors, std::size(bad));
+  for (std::size_t i = 0; i < std::size(bad); ++i) {
+    SCOPED_TRACE(bad[i]);
+    const JsonValue& err = responses[2 * i];
+    EXPECT_FALSE(err.get_bool("ok", true));
+    EXPECT_EQ(err.get_string("error").rfind("bad ", 0), 0u)
+        << err.get_string("error");
+    const JsonValue& next = responses[2 * i + 1];
+    EXPECT_TRUE(next.get_bool("ok"));
+    EXPECT_EQ(next.get_string("blif"), responses[1].get_string("blif"));
+  }
+}
+
+TEST(Serve, NoMappingOptionIsSilentlyIgnored) {
+  // Each option either acts on both backends or is an error line.
+  std::string lib = stage_genlib("full_adder");
+  std::string circ = slurp(data_path("full_adder.blif"));
+  const char* requests[] = {
+      "\"backend\": \"cuts\"",
+      "\"backend\": \"cuts\", \"area_recovery\": true, "
+      "\"delay_factor\": 1.2",
+      "\"backend\": \"structural\"",
+      "\"backend\": \"structural\", \"rounds\": 3, "
+      "\"delay_factor\": 1.2",
+      "\"cut_count\": 4",
+      "\"backend\": \"cuts\", \"delay_factor\": 1.2",
+      "\"round\": 3",
+  };
+  std::string input;
+  for (const char* options : requests)
+    input += request_line(circ, lib, options) + "\n";
+  ServeOptions sopt;
+  sopt.auto_save = false;
+  std::vector<JsonValue> r = run_and_parse(input, sopt);
+  ASSERT_EQ(r.size(), std::size(requests));
+  // Area recovery on the cut backend, area rounds on the structural one.
+  EXPECT_EQ(r[0].get_number("area"), 32.0);
+  EXPECT_EQ(r[1].get_number("area"), 28.0);
+  EXPECT_EQ(r[2].get_number("area"), 32.0);
+  EXPECT_EQ(r[3].get_number("area"), 30.0);
+  EXPECT_EQ(r[1].get_number("delay"), r[0].get_number("delay"));
+  EXPECT_EQ(r[3].get_number("delay"), r[2].get_number("delay"));
+  // Cut knobs on the structural backend; a delay factor with no area
+  // round to act on.
+  EXPECT_EQ(r[4].get_string("error"),
+            "cut size and cut count apply to the cuts backend");
+  EXPECT_EQ(r[5].get_string("error"),
+            "a delay factor or target applies only to area recovery "
+            "(rounds > 1 or area recovery on)");
+  // A misspelled option ("round") is an error, not a default mapping.
+  EXPECT_EQ(r[6].get_string("error"), "unknown option \"round\"");
+}
+
 TEST(Serve, BlankLinesAreIgnored) {
   std::string lib = stage_genlib("mux4");
   std::string circ = slurp(data_path("mux4.blif"));

@@ -28,19 +28,20 @@
 //                             explicit inverters, delay never worse than
 //                             the structural backend on the same inputs
 //   --cut-size <2..4>         cut leaves for --backend=cuts (default 4)
-//   --cut-count <n>           priority cuts kept per node (default 8)
-//   --rounds <n>              mapping rounds: 1 = pure delay-optimal,
+//   --cut-count <1..64>       priority cuts kept per node, --backend=cuts
+//                             (default 8)
+//   --rounds <1..16>          mapping rounds: 1 = pure delay-optimal,
 //                             extra rounds recover area under required
-//                             times (default 1)
-//   --delay-factor <x>        required-time slack factor for the area
-//                             rounds, >= 1.0 (default 1.0)
+//                             times, either backend (default 1)
+//   --delay-factor <1..100>   required-time slack factor for the area
+//                             rounds or --area-recovery (default 1.0)
 //   --load-rounds <n>         iterated load-aware mapping: measure the
 //                             mapping under the linear load model,
 //                             re-price the library pin delays with the
 //                             measured loads, re-map, keep the best
 //                             measured round (never worse than round 0;
 //                             works with both backends; default 0 = the
-//                             paper's load-oblivious flow)
+//                             paper's load-oblivious flow; at most 16)
 //   --match <standard|extended>                     (default: standard)
 //   --supergates[=depth]      augment the library with generated
 //                             supergates before mapping (depth default 2)
@@ -53,7 +54,8 @@
 //   --profile[=trace.json]    per-phase timing/counter summary; with a
 //                             path, also write Chrome trace-event JSON
 //                             (chrome://tracing) with per-thread tracks
-//   --area-recovery           enable required-time area recovery
+//   --area-recovery           one required-time area-recovery round,
+//                             either backend
 //   --buffer <branch>         post-mapping balanced buffer trees (0 = off)
 //   --lt-buffer               post-mapping Touati LT-tree buffering
 //   --size                    post-mapping gate sizing (x1/x2/x4)
@@ -104,25 +106,18 @@ struct CliOptions {
   std::string circuit_path;
   std::string library_path;
   std::string liberty_path;
-  unsigned load_rounds = 0;
   int lib44 = 0;
   std::string mapper = "dag";
-  std::string backend = "structural";
+  /// Mapping knobs (backend, match class, cuts, rounds, area recovery,
+  /// load rounds, partitioning), checked by validate_map_options.
+  MapOptions map;
   bool choices = false;
   unsigned choice_gens = kChoiceGenAll;
-  unsigned cut_size = 4;
-  unsigned cut_count = 8;
-  unsigned rounds = 1;
-  double delay_factor = 1.0;
-  std::string match = "standard";
   unsigned supergate_depth = 0;  ///< 0 = off; --supergates defaults to 2
   bool supergates_set = false;   ///< --supergates given explicitly
   unsigned threads = 1;
-  int partition = -1;  ///< -1 auto, 0 off, 1 on
-  unsigned partition_window = 0;  ///< 0 = the DagMapOptions default
   bool profile = false;
   std::string trace_path;  ///< --profile=trace.json
-  bool area_recovery = false;
   unsigned buffer_branch = 0;
   bool lt_buffer = false;
   bool size = false;
@@ -199,9 +194,9 @@ CliOptions parse_args(int argc, char** argv) {
     else if (a.rfind("--liberty=", 0) == 0)
       o.liberty_path = a.substr(std::strlen("--liberty="));
     else if (a == "--load-rounds")
-      o.load_rounds = next_unsigned("--load-rounds");
+      o.map.load_rounds = next_unsigned("--load-rounds");
     else if (a.rfind("--load-rounds=", 0) == 0)
-      o.load_rounds = suffix_unsigned("--load-rounds");
+      o.map.load_rounds = suffix_unsigned("--load-rounds");
     else if (a == "--lib44") o.lib44 = parse_number<int>("--lib44", next());
     else if (a == "--mapper") o.mapper = next();
     else if (a == "--choices") o.choices = true;
@@ -215,34 +210,46 @@ CliOptions parse_args(int argc, char** argv) {
                   .c_str());
       o.choice_gens = *g;
     }
-    else if (a == "--backend") o.backend = next();
-    else if (a.rfind("--backend=", 0) == 0)
-      o.backend = a.substr(std::strlen("--backend="));
-    else if (a == "--cut-size") o.cut_size = next_unsigned("--cut-size");
-    else if (a == "--cut-count") o.cut_count = next_unsigned("--cut-count");
-    else if (a == "--rounds") o.rounds = next_unsigned("--rounds");
-    else if (a == "--delay-factor") o.delay_factor = next_double("--delay-factor");
-    else if (a == "--match") o.match = next();
+    else if (a == "--backend" || a.rfind("--backend=", 0) == 0) {
+      std::string b =
+          a == "--backend" ? next() : a.substr(std::strlen("--backend="));
+      if (b != "structural" && b != "cuts")
+        usage("bad --backend value (want structural or cuts)");
+      o.map.source = b == "cuts" ? CandidateSource::Cuts
+                                 : CandidateSource::Structural;
+    }
+    else if (a == "--cut-size") o.map.cuts.size = next_unsigned("--cut-size");
+    else if (a == "--cut-count")
+      o.map.cuts.count = next_unsigned("--cut-count");
+    else if (a == "--rounds") o.map.rounds = next_unsigned("--rounds");
+    else if (a == "--delay-factor")
+      o.map.delay_factor = next_double("--delay-factor");
+    else if (a == "--match") {
+      std::string m = next();
+      if (m != "standard" && m != "extended") usage("bad --match value");
+      o.map.match_class =
+          m == "extended" ? MatchClass::Extended : MatchClass::Standard;
+    }
     else if (a == "--supergates") o.supergate_depth = 2, o.supergates_set = true;
     else if (a.rfind("--supergates=", 0) == 0) {
       o.supergate_depth = suffix_unsigned("--supergates");
       o.supergates_set = true;
     }
     else if (a == "--threads") o.threads = next_unsigned("--threads");
-    else if (a == "--partition") o.partition = 1;
+    else if (a == "--partition") o.map.partition_mode = PartitionMode::On;
     else if (a.rfind("--partition=", 0) == 0) {
-      o.partition = 1;
-      o.partition_window = suffix_unsigned("--partition");
-      if (o.partition_window == 0) usage("zero --partition= window");
+      o.map.partition_mode = PartitionMode::On;
+      o.map.partition_window = suffix_unsigned("--partition");
+      if (o.map.partition_window == 0) usage("zero --partition= window");
     }
-    else if (a == "--no-partition") o.partition = 0;
+    else if (a == "--no-partition") o.map.partition_mode = PartitionMode::Off;
     else if (a == "--profile") o.profile = true;
     else if (a.rfind("--profile=", 0) == 0) {
       o.profile = true;
       o.trace_path = a.substr(std::strlen("--profile="));
       if (o.trace_path.empty()) usage("empty --profile= path");
     }
-    else if (a == "--area-recovery") o.area_recovery = true;
+    else if (a == "--area-recovery") o.map.area_recovery = true;
     else if (a == "--buffer") o.buffer_branch = next_unsigned("--buffer");
     else if (a == "--lt-buffer") o.lt_buffer = true;
     else if (a == "--size") o.size = true;
@@ -260,12 +267,10 @@ CliOptions parse_args(int argc, char** argv) {
     else if (o.circuit_path.empty()) o.circuit_path = a;
     else usage("multiple circuit files");
   }
-  if (o.backend != "structural" && o.backend != "cuts")
-    usage("bad --backend value (want structural or cuts)");
-  if (o.cut_size < 2 || o.cut_size > 4) usage("bad --cut-size (want 2..4)");
-  if (o.cut_count < 1) usage("bad --cut-count (want >= 1)");
-  if (o.rounds < 1) usage("bad --rounds (want >= 1)");
-  if (o.delay_factor < 1.0) usage("bad --delay-factor (want >= 1.0)");
+  o.map.num_threads = o.threads;
+  o.map.profile = o.profile;
+  if (std::string why = validate_map_options(o.map); !why.empty())
+    usage(why.c_str());
   if (o.lib44 < 0 || o.lib44 > 3) usage("bad --lib44 (want 1..3)");
   if (!o.liberty_path.empty() && (!o.library_path.empty() || o.lib44 > 0))
     usage("--liberty excludes --library and --lib44");
@@ -275,10 +280,17 @@ CliOptions parse_args(int argc, char** argv) {
     o.mapper = "dag";
     o.choices = true;
   }
-  if (o.load_rounds > 0 && o.mapper == "tree")
-    usage("--load-rounds applies to the dag/cuts mapping flows");
-  if (o.backend == "cuts" && o.mapper != "dag")
-    usage("--backend=cuts applies to the default --mapper dag flow");
+  // The mapping flags act only in the dag/cuts library flow: the tree
+  // and LUT flows would ignore them, and serve mode reads its mapping
+  // options from each request.
+  MapOptions knobs = o.map;
+  knobs.num_threads = 1;
+  knobs.profile = false;
+  bool dag_flow = o.mapper == "dag" && o.lut_k == 0 && !o.serve;
+  if (!dag_flow && knobs != MapOptions{})
+    usage("mapping flags (--backend, --match, --cut-size, --cut-count, "
+          "--rounds, --delay-factor, --area-recovery, --load-rounds, "
+          "--partition) apply to the dag/cuts mapping flow");
   if (o.choices && o.mapper != "dag")
     usage("--choices applies to the dag/cuts mapping flows");
   if (o.choices && o.lut_k > 0)
@@ -476,23 +488,13 @@ int main(int argc, char** argv) try {
   std::printf("library %s: %zu gates\n", lib.name().c_str(), lib.size());
   if (!lib.is_complete_for_mapping()) usage("library lacks INV or NAND2");
 
-  DagMapOptions mopt;
-  mopt.area_recovery = opt.area_recovery;
-  mopt.num_threads = opt.threads;
-  mopt.profile = opt.profile;
-  if (opt.partition >= 0)
-    mopt.partition_mode =
-        opt.partition ? PartitionMode::On : PartitionMode::Off;
-  if (opt.partition_window > 0) mopt.partition_window = opt.partition_window;
-  if (opt.match == "extended") mopt.match_class = MatchClass::Extended;
-  else if (opt.match != "standard") usage("bad --match value");
+  MapOptions mopt = opt.map;
   if (clib) mopt.pattern_index = &clib->index;
-  mopt.load_rounds = opt.load_rounds;
 
   MapResult result;
   Network subject;
-  // Kept alive through the mapping call: DagMapOptions::choices /
-  // CutMapOptions::choices borrow `choice->classes`.
+  // Kept alive through the mapping call: MapOptions::choices borrows
+  // `choice->classes`.
   std::optional<ChoiceDecomposition> choice;
   if (opt.choices) {
     obs::Scope scope("decompose.choices");
@@ -505,22 +507,7 @@ int main(int argc, char** argv) try {
   } else {
     subject = tech_decompose(circuit);
   }
-  if (opt.mapper == "dag" && opt.backend == "cuts") {
-    CutMapOptions copt;
-    copt.cut_size = opt.cut_size;
-    copt.cut_count = opt.cut_count;
-    copt.rounds = opt.rounds;
-    copt.delay_factor = opt.delay_factor;
-    copt.match_class = mopt.match_class;
-    copt.num_threads = opt.threads;
-    copt.profile = opt.profile;
-    copt.partition_mode = mopt.partition_mode;
-    copt.partition_window = mopt.partition_window;
-    copt.pattern_index = mopt.pattern_index;
-    copt.load_rounds = opt.load_rounds;
-    copt.choices = mopt.choices;
-    result = cut_map(subject, lib, copt);
-  } else if (opt.mapper == "dag") result = dag_map(subject, lib, mopt);
+  if (opt.mapper == "dag") result = map(subject, lib, mopt);
   else if (opt.mapper == "tree") result = tree_map(subject, lib);
   else usage("bad --mapper value");
   std::printf("subject graph: %zu internal nodes\n", subject.num_internal());
@@ -535,11 +522,12 @@ int main(int argc, char** argv) try {
         result.num_partitions, result.partition_waves,
         result.partition_boundary_edges, result.partition_max_nodes);
   std::printf("%s mapping: delay %.3f, area %.1f, %zu gates (%.2fs)\n",
-              opt.backend == "cuts" ? "cuts" : opt.mapper.c_str(),
+              mopt.source == CandidateSource::Cuts ? "cuts"
+                                                   : opt.mapper.c_str(),
               result.optimal_delay,
               result.netlist.total_area(), result.netlist.num_gates(),
               result.cpu_seconds);
-  if (opt.load_rounds > 0)
+  if (mopt.load_rounds > 0)
     std::printf(
         "load rounds: %zu measured, best round %u, loaded delay "
         "%.3f -> %.3f\n",

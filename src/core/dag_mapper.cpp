@@ -481,6 +481,9 @@ MapResult map(const Network& subject, const GateLibrary& lib,
       obs::counter_add("label.nodes", subject.num_internal());
       obs::counter_add("match.enumerated", result.matches_enumerated);
       obs::counter_add("match.walks", result.match_attempts);
+      MatchStats ms = matcher.stats();
+      obs::counter_add("match.memo_lists", ms.memo_lists);
+      obs::counter_add("match.memo_hits", ms.memo_hits);
       obs::counter_add("match.pruned", result.match_prunes);
       obs::counter_add("match.truncations", result.truncations);
       if (use_cuts) {

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "io/expr.hpp"
-#include "netlist/assert.hpp"
 
 namespace dagmap {
 
@@ -58,8 +57,10 @@ struct NamesBlock {
 
 TruthTable cover_to_truth_table(const NamesBlock& nb) {
   unsigned nv = static_cast<unsigned>(nb.inputs.size());
-  DAGMAP_ASSERT_MSG(nv <= TruthTable::kMaxVars,
-                    ".names with more than 16 inputs");
+  if (nv > TruthTable::kMaxVars)
+    throw ParseError(".names for " + nb.output + " has " + std::to_string(nv) +
+                     " inputs; at most " +
+                     std::to_string(TruthTable::kMaxVars) + " are supported");
   // The cover lists either the ON-set (output '1') or the OFF-set ('0');
   // BLIF requires all rows to agree.
   bool on_set = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <string>
 
 #include "netlist/assert.hpp"
 
@@ -126,7 +127,17 @@ class ExprParser {
     return Expr::make_and(std::move(factors));
   }
 
+  // Every nesting level — a prefix '!' or a parenthesis — passes here.
   Expr parse_factor() {
+    if (++depth_ > kMaxExprNesting)
+      throw ParseError("expression nesting too deep (more than " +
+                       std::to_string(kMaxExprNesting) + " levels)");
+    Expr e = parse_unary();
+    --depth_;
+    return e;
+  }
+
+  Expr parse_unary() {
     skip_ws();
     if (pos_ >= text_.size()) throw ParseError("unexpected end of expression");
     if (text_[pos_] == '!') {
@@ -174,6 +185,7 @@ class ExprParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 void collect_vars(const Expr& e, std::vector<std::string>& out) {

@@ -59,4 +59,10 @@ class ParseError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Deepest nesting of parentheses and prefix `!` the expression readers
+/// (GENLIB and Liberty functions) accept; deeper input is a ParseError
+/// ("nesting too deep") rather than a stack overflow.  Real gate
+/// functions, supergates included, nest a few dozen levels at most.
+inline constexpr int kMaxExprNesting = 256;
+
 }  // namespace dagmap

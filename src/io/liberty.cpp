@@ -257,6 +257,9 @@ class GroupParser {
       }
       advance();  // ')'
       if (at_punct('{')) {
+        if (++depth_ > kMaxDepth)
+          fail("group nesting too deep (more than " +
+               std::to_string(kMaxDepth) + " levels)");
         Group g;
         g.kind = std::move(name);
         g.args = std::move(values);
@@ -269,6 +272,7 @@ class GroupParser {
         advance();  // '}'
         if (at_punct(';')) advance();
         parent.groups.push_back(std::move(g));
+        --depth_;
       } else {
         if (at_punct(';')) advance();  // ';' is optional after ')'
         parent.complex.emplace_back(std::move(name), std::move(values));
@@ -278,8 +282,14 @@ class GroupParser {
     fail("expected ':' or '(' after `" + name + "`");
   }
 
+  // Groups below `library` deeper than this are a ParseError, not a
+  // stack overflow; real libraries nest about five levels (library,
+  // cell, pin, timing, table).
+  static constexpr int kMaxDepth = 64;
+
   Lexer lex_;
   Token cur_;
+  int depth_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -375,10 +385,14 @@ class FunctionParser {
     return Expr::make_and(std::move(ops));
   }
 
+  // Every nesting level — a prefix '!' or a parenthesis — passes here.
   Expr parse_factor() {
-    if (eat('!')) return Expr::make_not(parse_factor());
-    Expr e = parse_atom();
+    if (++depth_ > kMaxExprNesting)
+      throw ParseError("liberty: function nesting too deep (more than " +
+                       std::to_string(kMaxExprNesting) + " levels)");
+    Expr e = eat('!') ? Expr::make_not(parse_factor()) : parse_atom();
     while (eat('\'')) e = Expr::make_not(std::move(e));
+    --depth_;
     return e;
   }
 
@@ -411,6 +425,7 @@ class FunctionParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <utility>
 
 #include "netlist/assert.hpp"
@@ -43,12 +44,13 @@ double match_arrival(const MatchView& m, std::span<const double> leaf_arrival) {
 
 namespace {
 
-// Open-addressed set of 64-bit keys, emptied in O(1) by bumping a
-// generation stamp.  Its capacity follows the largest set it has held
-// (a pattern's node count, a root's match count), never the subject.
-class StampedSet {
+// Open-addressed table of 64-bit keys with a 32-bit value each, emptied
+// in O(1) by bumping a generation stamp.  Its capacity follows the
+// largest table it has held (a pattern's node count, a root's match or
+// sub-binding list count), never the subject.
+class StampedTable {
  public:
-  /// Empties the set; `expected` insertions will not trigger a rehash.
+  /// Empties the table; `expected` insertions will not trigger a rehash.
   void clear(std::size_t expected) {
     if (++stamp_ == 0) {  // wrapped: forget every old generation
       std::fill(stamps_.begin(), stamps_.end(), 0);
@@ -58,15 +60,17 @@ class StampedSet {
     if (2 * expected > keys_.size()) resize(2 * expected);
   }
 
-  /// Inserts `key`; false when it was already present.  `where`
-  /// receives the key's slot, for `erase`.
-  bool insert(std::uint64_t key, std::size_t* where = nullptr) {
+  /// Inserts `key` with `value`; false when it was already present.
+  /// `where` receives the key's slot, for `erase`.
+  bool insert(std::uint64_t key, std::size_t* where = nullptr,
+              std::uint32_t value = 0) {
     if (2 * (size_ + 1) > keys_.size()) grow();
     std::size_t mask = keys_.size() - 1;
     for (std::size_t i = slot(key);; i = (i + 1) & mask) {
       if (stamps_[i] != stamp_) {
         stamps_[i] = stamp_;
         keys_[i] = key;
+        values_[i] = value;
         ++size_;
         if (where) *where = i;
         return true;
@@ -75,8 +79,18 @@ class StampedSet {
     }
   }
 
+  /// The value stored with `key`, or null when it is absent.
+  const std::uint32_t* find(std::uint64_t key) const {
+    if (keys_.empty()) return nullptr;
+    std::size_t mask = keys_.size() - 1;
+    for (std::size_t i = slot(key);; i = (i + 1) & mask) {
+      if (stamps_[i] != stamp_) return nullptr;
+      if (keys_[i] == key) return &values_[i];
+    }
+  }
+
   /// Removes the key at slot `where`, which must hold the newest key
-  /// still in the set: no later key probed past it, so erasing in
+  /// still in the table: no later key probed past it, so erasing in
   /// reverse insertion order keeps linear probing exact.
   void erase(std::size_t where) {
     stamps_[where] = 0;
@@ -91,22 +105,24 @@ class StampedSet {
   void resize(std::size_t want) {
     std::size_t cap = std::bit_ceil(std::max<std::size_t>(want, 16));
     keys_.assign(cap, 0);
+    values_.assign(cap, 0);
     stamps_.assign(cap, 0);
     stamp_ = 1;
     shift_ = 64 - static_cast<unsigned>(std::countr_zero(cap));
   }
 
   void grow() {
-    std::vector<std::uint64_t> live;
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> live;
     live.reserve(size_);
     for (std::size_t i = 0; i < keys_.size(); ++i)
-      if (stamps_[i] == stamp_) live.push_back(keys_[i]);
+      if (stamps_[i] == stamp_) live.emplace_back(keys_[i], values_[i]);
     resize(2 * keys_.size());
     size_ = 0;
-    for (std::uint64_t key : live) insert(key);
+    for (auto [key, value] : live) insert(key, nullptr, value);
   }
 
   std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> values_;
   std::vector<std::uint32_t> stamps_;
   std::uint32_t stamp_ = 0;
   std::size_t size_ = 0;
@@ -121,6 +137,48 @@ struct Popped {
   std::size_t slot;  // s's slot in the one-to-one set, when bound
 };
 
+// A list of sub-bindings in the memo arena: `count` tuples of `width`
+// subject nodes from offset `nodes`, and under one-to-one classes one
+// overlap mask per tuple from offset `masks`.  `truncated` marks a list
+// the budget cut short (a sound prefix), or one built from such a list.
+struct SubList {
+  std::size_t nodes = 0;
+  std::size_t masks = 0;
+  std::uint32_t count = 0;
+  std::uint32_t width = 0;
+  bool truncated = false;
+};
+
+// A grow-only array of a trivially copyable type: `extend` hands out
+// uninitialized room at the end, `truncate` takes back what went unused.
+// Unlike std::vector::resize it writes nothing it hands out, which
+// matters for the many small lists of small libraries.
+template <typename T>
+class GrowBuffer {
+ public:
+  const T* data() const { return data_.get(); }
+  std::size_t size() const { return size_; }
+  const T& operator[](std::size_t i) const { return data_[i]; }
+  void clear() { size_ = 0; }
+  void truncate(std::size_t size) { size_ = size; }
+
+  T* extend(std::size_t n) {
+    if (size_ + n > capacity_) {
+      capacity_ = std::max({2 * capacity_, size_ + n, std::size_t{256}});
+      auto grown = std::make_unique_for_overwrite<T[]>(capacity_);
+      std::copy_n(data_.get(), size_, grown.get());
+      data_ = std::move(grown);
+    }
+    size_ += n;
+    return data_.get() + size_ - n;
+  }
+
+ private:
+  std::unique_ptr<T[]> data_;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
+};
+
 // Per-thread scratch arena: every buffer the enumeration needs, reused
 // across patterns, roots, and `for_each_match` calls so the steady state
 // allocates nothing.  Holds no matcher state, so one thread may
@@ -129,10 +187,15 @@ struct MatchScratch {
   std::vector<NodeId> bind;                            // pattern -> subject
   std::vector<std::pair<std::uint32_t, NodeId>> todo;  // walk agenda
   std::vector<Popped> log;                             // walk undo log
-  StampedSet bound;                                    // one-to-one check
+  std::vector<std::size_t> slots;                      // per pattern node
+  StampedTable bound;                                  // one-to-one check
   std::vector<NodeId> pins;                            // MatchView arena
   std::vector<NodeId> covered;                         // MatchView arena
-  StampedSet seen;                                     // per-root match dedup
+  StampedTable seen;                                   // per-root match dedup
+  StampedTable memo;     // (walk shape, subject node) -> index in `lists`
+  std::vector<SubList> lists;                          // per-root memo
+  GrowBuffer<NodeId> arena;                            // sub-binding tuples
+  GrowBuffer<std::uint64_t> masks;                     // one per tuple
 };
 
 MatchScratch& thread_scratch() {
@@ -140,29 +203,196 @@ MatchScratch& thread_scratch() {
   return scratch;
 }
 
-// Bounded enumerator of all bindings of one pattern at one root; storage
-// lives in the scratch arena.
+std::uint64_t node_bit(NodeId s) { return std::uint64_t{1} << (s % 64); }
+
+// True when tuples a and b share no subject node.  The masks have bit
+// s % 64 set for every member s, so disjoint masks settle most pairs.
+bool disjoint(const NodeId* a, std::uint32_t wa, std::uint64_t ma,
+              const NodeId* b, std::uint32_t wb, std::uint64_t mb) {
+  if ((ma & mb) == 0) return true;
+  for (std::uint32_t i = 0; i < wa; ++i)
+    for (std::uint32_t j = 0; j < wb; ++j)
+      if (a[i] == b[j]) return false;
+  return true;
+}
+
+// The per-root memo of sub-binding lists (DESIGN.md §7): L(w, s), every
+// binding of walk shape w at subject node s, in the order the
+// backtracking walk completes them.  Built on demand, bottom-up through
+// the walk shape, and kept until the next root.
+//   * leaf: {s};
+//   * INV(c): s followed by each tuple of L(c, fanin);
+//   * NAND2(c0, c1) at fanins (f0, f1): for each b1 in L(c1, f1), for
+//     each b0 in L(c0, f0), the tuple (s, b0, b1); then, when the swap
+//     is allowed and f0 != f1, the same with L(c1, f0) outside and
+//     L(c0, f1) inside.  c1 is the walk's outer loop because its LIFO
+//     agenda pops c1 before c0;
+//   * a node the screen refuses gets the empty list.
+// Under one-to-one classes a tuple whose parts share a node is dropped
+// (a node never occurs in its own fanin cone, so s cannot repeat).
+template <typename Admits>
+class SubBindingMemo {
+ public:
+  SubBindingMemo(const Network& subject, const WalkTable& walks,
+                 bool one_to_one, MatchScratch& scratch, const Admits& admits)
+      : subject_(subject), defs_(walks.defs.data()), one_to_one_(one_to_one),
+        sc_(scratch), admits_(admits) {
+    sc_.memo.clear(0);
+    sc_.lists.assign(1, SubList{});  // list 0: the empty list
+    sc_.arena.clear();
+    sc_.masks.clear();
+  }
+
+  /// Index of L(w, s) for an internal walk shape w; every tuple built
+  /// or scanned takes one unit of `budget`.
+  std::uint32_t get(std::uint32_t w, NodeId s, std::uint64_t& budget) {
+    const WalkTable::Def& d = defs_[w];
+    if (!admits_(d.shape, s, d.kind == PatternNode::Kind::Inv
+                                 ? NodeKind::Inv : NodeKind::Nand2))
+      return 0;
+    std::uint64_t key = (std::uint64_t{w} << 32) | s;
+    if (const std::uint32_t* id = sc_.memo.find(key)) {
+      ++hits;
+      return *id;
+    }
+    SubList l = build(d, s, budget);
+    auto id = static_cast<std::uint32_t>(sc_.lists.size());
+    sc_.lists.push_back(l);
+    sc_.memo.insert(key, nullptr, id);
+    ++lists;
+    return id;
+  }
+
+  const SubList& list(std::uint32_t id) const { return sc_.lists[id]; }
+
+  const NodeId* tuple(const SubList& l, std::uint32_t i) const {
+    return sc_.arena.data() + l.nodes + std::size_t{i} * l.width;
+  }
+
+  std::uint64_t lists = 0;  ///< lists built
+  std::uint64_t hits = 0;   ///< lookups served from the memo
+
+ private:
+  // L(c, f) for a child walk shape.  A leaf's list is the one tuple {f},
+  // held in the side itself rather than in the arena or the memo.
+  struct Side {
+    SubList list;
+    NodeId leaf = kNullNode;
+  };
+
+  Side side(std::uint32_t c, NodeId f, std::uint64_t& budget) {
+    if (c == WalkTable::kLeaf) return {SubList{0, 0, 1, 1, false}, f};
+    return {sc_.lists[get(c, f, budget)], kNullNode};
+  }
+
+  const NodeId* nodes_of(const Side& x, std::uint32_t i) const {
+    return x.leaf != kNullNode ? &x.leaf
+                               : tuple(x.list, i);
+  }
+
+  std::uint64_t mask_of(const Side& x, std::uint32_t i) const {
+    return x.leaf != kNullNode ? node_bit(x.leaf)
+                               : sc_.masks[x.list.masks + i];
+  }
+
+  SubList build(const WalkTable::Def& d, NodeId s, std::uint64_t& budget) {
+    std::span<const NodeId> fi = subject_.fanins(s);
+    // Pairs of (outer c1 side, inner c0 side); an INV has one side.
+    std::pair<Side, Side> parts[2];
+    int num_parts = 0;
+    bool inv = d.kind == PatternNode::Kind::Inv;
+    if (inv) {
+      parts[num_parts++].first = side(d.c0, fi[0], budget);
+    } else {
+      auto add = [&](NodeId f0, NodeId f1) {
+        Side outer = side(d.c1, f1, budget);
+        if (outer.list.count == 0) return;
+        Side inner = side(d.c0, f0, budget);
+        if (inner.list.count != 0) parts[num_parts++] = {outer, inner};
+      };
+      add(fi[0], fi[1]);
+      if (d.swap && fi[0] != fi[1]) add(fi[1], fi[0]);
+    }
+
+    // Room for every pairing, capped by the budget; the arena is cut
+    // back to the tuples kept.
+    SubList out{sc_.arena.size(), sc_.masks.size(), 0, d.width, false};
+    std::size_t room = 0;
+    for (int k = 0; k < num_parts; ++k) {
+      const auto& [outer, inner] = parts[k];
+      out.truncated |= outer.list.truncated || inner.list.truncated;
+      room += std::size_t{outer.list.count} * (inv ? 1 : inner.list.count);
+    }
+    if (room > budget) {
+      room = budget;
+      out.truncated = true;
+    }
+    budget -= room;
+    NodeId* dst = sc_.arena.extend(room * d.width);
+    std::uint64_t* mdst = one_to_one_ ? sc_.masks.extend(room) : nullptr;
+    std::uint32_t w0 = inv ? 0 : defs_[d.c0].width;
+    std::uint32_t w1 = inv ? defs_[d.c0].width : defs_[d.c1].width;
+    for (int k = 0; k < num_parts && room != 0; ++k) {
+      const auto& [outer, inner] = parts[k];
+      for (std::uint32_t i = 0; i < outer.list.count && room != 0; ++i) {
+        const NodeId* b1 = nodes_of(outer, i);
+        std::uint64_t m1 = one_to_one_ ? mask_of(outer, i) : 0;
+        std::uint32_t inner_count = inv ? 1 : inner.list.count;
+        for (std::uint32_t j = 0; j < inner_count && room != 0; ++j, --room) {
+          const NodeId* b0 = inv ? nullptr : nodes_of(inner, j);
+          std::uint64_t m0 = 0;
+          if (one_to_one_ && !inv) {
+            m0 = mask_of(inner, j);
+            if (!disjoint(b1, w1, m1, b0, w0, m0)) continue;
+          }
+          *dst++ = s;
+          dst = std::copy_n(b0, w0, dst);
+          dst = std::copy_n(b1, w1, dst);
+          if (one_to_one_) *mdst++ = node_bit(s) | m0 | m1;
+          ++out.count;
+        }
+      }
+    }
+    sc_.arena.truncate(out.nodes + std::size_t{out.count} * d.width);
+    if (one_to_one_) sc_.masks.truncate(out.masks + out.count);
+    return out;
+  }
+
+  const Network& subject_;
+  const WalkTable::Def* defs_;
+  bool one_to_one_;
+  MatchScratch& sc_;
+  const Admits& admits_;
+};
+
+// Bounded enumerator of all bindings of one DAG pattern at one root
+// (tree patterns are read straight off the root's memoized list);
+// storage lives in the scratch arena.
 //
-// The walk pops (pattern node, subject node) pairs off a LIFO agenda.
-// Only a NAND2 binding branches (two child orders), so only it recurses;
-// leaf binds, checks of already-bound shared nodes and INV binds run in
-// a loop and are undone from a log on the way back.  The order of pops,
-// and so the order of complete bindings and the budget's step count, is
-// that of a walk that recurses on every pop.
+// The walk pops (pattern node, subject node) pairs off a LIFO agenda
+// over the pattern's shared part.  A maximal private node
+// (PatternEntry::walk), a private subtree hanging off that part, is
+// bound whole: the pop iterates the node's memoized sub-binding list and
+// binds each tuple in one step.  On the shared part only a NAND2 binding
+// branches (two child orders); leaf binds, checks of already-bound
+// shared nodes and INV binds run in a loop and are undone from a log on
+// the way back.  The order of complete bindings is that of a walk that
+// recurses on every pop of every node.
 //
 // Two screens refuse a binding (p, s) that no complete binding of the
-// requested class contains: `admits(p, s, kind)` (the shape automaton,
-// or the bare kind check with pruning off), and for one-to-one classes,
-// s already bound to another pattern node.
+// requested class contains: `admits(shape, s, kind)` (the shape
+// automaton, or the bare kind check with pruning off), and for
+// one-to-one classes, s already bound to another pattern node.
 template <typename Admits>
 class Enumerator {
  public:
   /// `one_to_one` enforces distinct subject images (Standard, Exact).
   Enumerator(const Network& subject, const PatternGraph& pg,
-             const std::vector<std::uint64_t>& sym, std::uint64_t budget,
-             bool one_to_one, MatchScratch& scratch, const Admits& admits)
+             const PatternEntry& ref, std::uint64_t budget, bool one_to_one,
+             MatchScratch& scratch, const Admits& admits,
+             SubBindingMemo<Admits>& memo)
       : subject_(subject), nodes_(pg.nodes.data()), root_(pg.root),
-        sym_(sym.data()), budget_(budget), admits_(admits),
+        ref_(ref), budget_(budget), admits_(admits), memo_(memo),
         distinct_(one_to_one ? &scratch.bound : nullptr) {
     scratch.bind.assign(pg.nodes.size(), kNullNode);
     // The agenda holds at most one entry per pattern edge, plus the root;
@@ -170,10 +400,13 @@ class Enumerator {
     std::size_t cap = 2 * pg.nodes.size() + 1;
     if (scratch.todo.size() < cap) scratch.todo.resize(cap);
     if (scratch.log.size() < cap) scratch.log.resize(cap);
+    if (scratch.slots.size() < pg.nodes.size())
+      scratch.slots.resize(pg.nodes.size());
     if (distinct_) distinct_->clear(pg.nodes.size());
     bind_ = scratch.bind.data();
     todo_ = scratch.todo.data();
     log_ = scratch.log.data();
+    slots_ = scratch.slots.data();
   }
 
   /// Enumerates every complete binding; `on_complete` reads `bind()`.
@@ -184,7 +417,7 @@ class Enumerator {
   }
 
   const NodeId* bind() const { return bind_; }
-  bool truncated() const { return budget_ == 0; }
+  bool truncated() const { return budget_ == 0 || truncated_; }
 
  private:
   void push(std::uint32_t p, NodeId s) { todo_[top_++] = {p, s}; }
@@ -201,6 +434,32 @@ class Enumerator {
     if (distinct_) distinct_->erase(pop.slot);
     bind_[pop.p] = kNullNode;
     pop.bound = false;
+  }
+
+  // Pops maximal private node p at s: binds each memoized tuple of its
+  // walk shape over p's subtree and carries on with the agenda.  Under
+  // one-to-one classes a tuple must avoid the nodes bound so far.
+  template <typename F>
+  void bind_private(std::uint32_t p, NodeId s, const F& on_complete) {
+    SubList l = memo_.list(memo_.get(ref_.walk[p], s, budget_));
+    truncated_ |= l.truncated;
+    const std::uint32_t* members = ref_.walk_nodes.data() + ref_.walk_first[p];
+    StampedTable* check = distinct_;
+    for (std::uint32_t i = 0; i < l.count && budget_ != 0; ++i) {
+      --budget_;
+      // The tuple is re-read each time: deeper pops may grow the arena.
+      const NodeId* t = memo_.tuple(l, i);
+      std::uint32_t k = 0;
+      for (; k < l.width; ++k) {
+        if (check && !check->insert(t[k], &slots_[members[k]])) break;
+        bind_[members[k]] = t[k];
+      }
+      if (k == l.width) recurse(on_complete);
+      while (k-- > 0) {
+        if (check) check->erase(slots_[members[k]]);
+        bind_[members[k]] = kNullNode;
+      }
+    }
   }
 
   template <typename F>
@@ -222,16 +481,20 @@ class Enumerator {
         break;
       }
       const PatternNode& pn = nodes_[p];
+      if (ref_.walk[p] != WalkTable::kNone) {
+        bind_private(p, s, on_complete);
+        break;
+      }
       if (pn.kind == PatternNode::Kind::Leaf) {
         if (!take(pop)) break;
         continue;
       }
       if (pn.kind == PatternNode::Kind::Inv) {
-        if (!admits_(p, s, NodeKind::Inv) || !take(pop)) break;
+        if (!admits_(ref_.shape[p], s, NodeKind::Inv) || !take(pop)) break;
         push(static_cast<std::uint32_t>(pn.fanin0), subject_.fanins(s)[0]);
         continue;
       }
-      if (!admits_(p, s, NodeKind::Nand2) || !take(pop)) break;
+      if (!admits_(ref_.shape[p], s, NodeKind::Nand2) || !take(pop)) break;
       std::span<const NodeId> fi = subject_.fanins(s);
       NodeId s0 = fi[0];
       NodeId s1 = fi[1];
@@ -244,7 +507,7 @@ class Enumerator {
       // The swapped pairing explores genuinely new matches only when the
       // children are not symmetric (or the subject children differ —
       // matching x,x to symmetric children twice is also redundant).
-      if (sym_[p0] != sym_[p1] && s0 != s1) {
+      if (ref_.sym_hash[p0] != ref_.sym_hash[p1] && s0 != s1) {
         push(p0, s1);
         push(p1, s0);
         recurse(on_complete);
@@ -269,13 +532,16 @@ class Enumerator {
   const Network& subject_;
   const PatternNode* nodes_;
   std::uint32_t root_;
-  const std::uint64_t* sym_;
+  const PatternEntry& ref_;
   std::uint64_t budget_;
+  bool truncated_ = false;
   const Admits& admits_;
-  StampedSet* distinct_;
+  SubBindingMemo<Admits>& memo_;
+  StampedTable* distinct_;
   NodeId* bind_;
   std::pair<std::uint32_t, NodeId>* todo_;
   Popped* log_;
+  std::size_t* slots_;
   std::size_t top_ = 0;
   std::size_t log_top_ = 0;
 };
@@ -352,6 +618,56 @@ void Matcher::for_each_match(NodeId root, MatchClass mc,
   // binding through different child orders).
   sc.seen.clear(0);
   MatchStats local;
+  // A shape has its pattern node's kind, so with pruning on the shape
+  // test also checks the subject node's kind.
+  auto admits = [&](std::uint32_t shape, NodeId s, NodeKind kind) {
+    return prune ? can_root(s, shape) : subject_.kind(s) == kind;
+  };
+  // One-to-one (Standard and Exact; Definitions 1/2) is enforced as
+  // sub-bindings are combined and as the walk binds.
+  bool one_to_one = mc != MatchClass::Extended;
+  SubBindingMemo memo(subject_, index_->walks, one_to_one, sc, admits);
+
+  // A complete binding, read through the pattern's gather from `src`
+  // (the root tuple minus the root, or the walk's binding array).
+  auto emit = [&](const PatternEntry& ref, const Gate* gate,
+                  const PatternGraph& pg, const NodeId* src) {
+    const std::uint32_t* g = ref.gather.data();
+    std::size_t num_pins = gate->num_inputs();
+    std::size_t num_covered = ref.gather.size() - num_pins;
+    if (sc.pins.size() < num_pins) sc.pins.resize(num_pins);
+    if (sc.covered.size() < num_covered) sc.covered.resize(num_covered);
+    std::span<NodeId> pins(sc.pins.data(), num_pins);
+    std::span<NodeId> covered(sc.covered.data(), num_covered);
+    for (std::size_t i = 0; i < num_pins; ++i) {
+      pins[i] = g[i] != PatternEntry::kRootSlot ? src[g[i]] : kNullNode;
+      DAGMAP_ASSERT(pins[i] != kNullNode);
+    }
+    for (std::size_t k = 0; k < num_covered; ++k) {
+      std::uint32_t at = g[num_pins + k];
+      covered[k] = at != PatternEntry::kRootSlot ? src[at] : root;
+    }
+
+    // Exact-match fanout condition (Definition 2 condition 3): every
+    // covered non-root pattern node's subject image must have exactly
+    // the pattern node's out-degree.
+    if (mc == MatchClass::Exact) {
+      std::size_t k = 0;
+      for (std::uint32_t p = 0; p < pg.nodes.size(); ++p) {
+        if (pg.nodes[p].kind == PatternNode::Kind::Leaf) continue;
+        if (p != pg.root && fanout_counts_[covered[k]] != ref.out_deg[p])
+          return;
+        ++k;
+      }
+    }
+
+    std::uint64_t key = std::hash<const void*>{}(gate);
+    for (NodeId leaf : pins)
+      key = key * 0x100000001B3ull ^ (leaf + 1);
+    if (!sc.seen.insert(key)) return;
+
+    cb(MatchView(gate, &pg, pins, covered));
+  };
 
   for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
     if (prune && !can_root(root, root_shapes[ci])) {
@@ -362,51 +678,36 @@ void Matcher::for_each_match(NodeId root, MatchClass mc,
     const Gate* gate = &lib_.gates()[ref.gate_index];
     const PatternGraph& pg = gate->patterns[ref.pattern_index];
     ++local.attempts;
-    // A shape has its pattern node's kind, so with pruning on the
-    // shape test also checks the subject node's kind.
-    auto admits = [&](std::uint32_t p, NodeId s, NodeKind kind) {
-      return prune ? can_root(s, ref.shape[p]) : subject_.kind(s) == kind;
-    };
-    // One-to-one (Standard and Exact; Definitions 1/2) is enforced as
-    // the walk binds.
-    Enumerator en(subject_, pg, ref.sym_hash, kEnumerationBudget,
-                  mc != MatchClass::Extended, sc, admits);
-    en.run(root, [&] {
-      const NodeId* bind = en.bind();
-
-      // Exact-match fanout condition (Definition 2 condition 3): every
-      // covered non-root pattern node's subject image must have exactly
-      // the pattern node's out-degree.
-      if (mc == MatchClass::Exact) {
-        for (std::uint32_t p = 0; p < pg.nodes.size(); ++p) {
-          if (p == pg.root || pg.nodes[p].kind == PatternNode::Kind::Leaf)
-            continue;
-          if (fanout_counts_[bind[p]] != ref.out_deg[p]) return;
-        }
-      }
-
-      sc.pins.assign(gate->num_inputs(), kNullNode);
-      sc.covered.clear();
-      for (std::uint32_t p = 0; p < pg.nodes.size(); ++p) {
-        const PatternNode& pn = pg.nodes[p];
-        if (pn.kind == PatternNode::Kind::Leaf)
-          sc.pins[pn.pin] = bind[p];
-        else
-          sc.covered.push_back(bind[p]);
-      }
-      for (NodeId leaf : sc.pins) DAGMAP_ASSERT(leaf != kNullNode);
-
-      std::uint64_t key = std::hash<const void*>{}(gate);
-      for (NodeId leaf : sc.pins)
-        key = key * 0x100000001B3ull ^ (leaf + 1);
-      if (!sc.seen.insert(key)) return;
-
-      cb(MatchView(gate, &pg, sc.pins, sc.covered));
-    });
-    if (en.truncated()) ++local.truncations;
+    std::uint32_t w = ref.walk[pg.root];
+    if (w == WalkTable::kNone) {
+      // A DAG pattern: walk its shared part.
+      Enumerator en(subject_, pg, ref, kEnumerationBudget, one_to_one, sc,
+                    admits, memo);
+      en.run(root, [&] { emit(ref, gate, pg, en.bind()); });
+      if (en.truncated()) ++local.truncations;
+      continue;
+    }
+    // A tree pattern: its bindings are the root's list.  An INV root is
+    // not materialized: its tuples are the root followed by its child's,
+    // so the child's list is read in place.  (The candidate screen, or
+    // the bucket with pruning off, has checked the root's kind.)
+    std::uint64_t budget = kEnumerationBudget;
+    const WalkTable::Def& d = index_->walks.defs[w];
+    bool peel = d.kind == PatternNode::Kind::Inv && d.c0 != WalkTable::kLeaf;
+    SubList l = memo.list(peel ? memo.get(d.c0, subject_.fanins(root)[0],
+                                          budget)
+                               : memo.get(w, root, budget));
+    std::size_t skip = peel ? 0 : 1;
+    for (std::uint32_t i = 0; i < l.count && budget != 0; ++i) {
+      --budget;
+      emit(ref, gate, pg, memo.tuple(l, i) + skip);
+    }
+    if (l.truncated || budget == 0) ++local.truncations;
   }
 
   attempts_.fetch_add(local.attempts, std::memory_order_relaxed);
+  memo_lists_.fetch_add(memo.lists, std::memory_order_relaxed);
+  memo_hits_.fetch_add(memo.hits, std::memory_order_relaxed);
   pruned_.fetch_add(local.pruned, std::memory_order_relaxed);
   truncations_.fetch_add(local.truncations, std::memory_order_relaxed);
 }
@@ -425,6 +726,8 @@ MatchStats Matcher::stats() const {
   s.attempts = attempts();
   s.pruned = pruned();
   s.truncations = truncations();
+  s.memo_lists = memo_lists_.load(std::memory_order_relaxed);
+  s.memo_hits = memo_hits_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -11,13 +11,13 @@
 //                the match may "unfold" the subject DAG, binding the same
 //                subject node to several pattern nodes (Figure 1).
 //
-// Matching is a backtracking walk of the pattern DAG against the subject
-// DAG, trying both orders of every NAND2's children (commutativity) and
-// binding shared pattern nodes consistently.  Complexity per root is
-// O(p) for tree patterns in the paper's sense; the implementation prunes
-// on node kinds so failed gates abort after a few nodes.
+// Matching binds the pattern DAG against the subject DAG, trying both
+// orders of every NAND2's children (commutativity) and binding shared
+// pattern nodes consistently.  Complexity per root is O(p) for tree
+// patterns in the paper's sense; the implementation prunes on node kinds
+// so failed gates abort after a few nodes.
 //
-// Two layers keep the per-root cost low with rich libraries:
+// Three layers keep the per-root cost low with rich libraries:
 //   * a shape automaton — every pattern node has a shape id (its subtree
 //     with leaves as wildcards; match/pattern_index.hpp), and the
 //     constructor gives every subject node the set of shapes it can
@@ -26,11 +26,18 @@
 //     bind a pattern node to a subject node outside its shape's set.
 //     Each refused branch is one that could not complete, so the
 //     sequence of matches is exactly the unpruned one (DESIGN.md §7);
-//   * allocation-free enumeration — the walk, the one-to-one check, the
-//     dedup table and the match assembly run out of per-thread scratch
-//     buffers, and matches reach the callback as `MatchView` spans into
-//     that scratch (valid only during the callback; copy into a `Match`
-//     to keep one).
+//   * a per-root memo of sub-bindings — every private pattern subtree
+//     is a walk shape (match/pattern_index.hpp), and the list of its
+//     bindings at a subject node is built once per root, bottom-up from
+//     its children's lists, in the order a backtracking walk would
+//     complete them.  A tree pattern's matches are its root's list; a
+//     DAG pattern walks only its shared part and binds each private
+//     subtree from its list;
+//   * allocation-free enumeration — the memo, the walk, the one-to-one
+//     check, the dedup table and the match assembly run out of
+//     per-thread scratch buffers, and matches reach the callback as
+//     `MatchView` spans into that scratch (valid only during the
+//     callback; copy into a `Match` to keep one).
 //
 // `for_each_match` is safe to call concurrently from several threads on
 // the same `Matcher` (the statistics counters are atomic; scratch is
@@ -118,6 +125,10 @@ struct MatchStats {
   /// regular subjects); their match lists are sound but possibly
   /// incomplete.
   std::uint64_t truncations = 0;
+  /// Sub-binding lists built by the per-root memo (`match.memo_lists`).
+  std::uint64_t memo_lists = 0;
+  /// Sub-binding list lookups served from the memo (`match.memo_hits`).
+  std::uint64_t memo_hits = 0;
 };
 
 /// Matcher knobs.
@@ -177,8 +188,8 @@ class Matcher {
              (shape % 64)) & 1) != 0;
   }
 
-  /// Safety valve per (root, pattern): backtracking steps before the
-  /// enumeration is cut off.
+  /// Safety valve per (root, pattern): walk steps, plus sub-binding
+  /// tuples built or scanned, before the enumeration is cut off.
   static constexpr std::uint64_t kEnumerationBudget = 50'000;
 
  private:
@@ -200,6 +211,8 @@ class Matcher {
   mutable std::atomic<std::uint64_t> attempts_{0};
   mutable std::atomic<std::uint64_t> pruned_{0};
   mutable std::atomic<std::uint64_t> truncations_{0};
+  mutable std::atomic<std::uint64_t> memo_lists_{0};
+  mutable std::atomic<std::uint64_t> memo_hits_{0};
   /// Match count of the last `matches_at` call (reserve hint).
   mutable std::atomic<std::uint32_t> last_match_count_{8};
 };

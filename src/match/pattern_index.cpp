@@ -101,21 +101,122 @@ void PatternIndex::derive_shapes(const GateLibrary& lib) {
     if (fresh) defs.push_back({kind, a, b});
     return it->second;
   };
+  // Walk shapes: ordered children plus the swap bit, keyed like shapes.
+  walks.defs.assign(1, {PatternNode::Kind::Leaf, false, 0, 0,
+                        ShapeTable::kLeaf, 1});
+  std::unordered_map<std::uint64_t, std::uint32_t> walk_ids;
+  auto intern_walk = [&](PatternNode::Kind kind, bool swap, std::uint32_t c0,
+                         std::uint32_t c1, std::uint32_t shape) {
+    std::uint64_t key = (std::uint64_t{static_cast<std::uint8_t>(kind)} << 62) |
+                        (std::uint64_t{swap} << 61) |
+                        (std::uint64_t{c0} << 30) | c1;
+    auto [it, fresh] =
+        walk_ids.try_emplace(key, static_cast<std::uint32_t>(walks.size()));
+    if (fresh) {
+      std::uint32_t width = 1 + walks.defs[c0].width +
+                            (kind == PatternNode::Kind::Nand2
+                                 ? walks.defs[c1].width : 0);
+      walks.defs.push_back({kind, swap, c0, c1, shape, width});
+    }
+    return it->second;
+  };
+  // Per-pattern scratch, reused across patterns.
+  std::vector<std::uint32_t> wid, order, from, stack;
+  std::vector<unsigned char> shared;
+  // Appends q's subtree to `out` in tuple order (pre-order, fanin0 first).
+  auto preorder = [&](const PatternGraph& pg, std::uint32_t q,
+                      std::vector<std::uint32_t>& out) {
+    stack.assign(1, q);
+    while (!stack.empty()) {
+      std::uint32_t x = stack.back();
+      stack.pop_back();
+      out.push_back(x);
+      const PatternNode& n = pg.nodes[x];
+      if (n.kind == PatternNode::Kind::Nand2)
+        stack.push_back(static_cast<std::uint32_t>(n.fanin1));
+      if (n.kind != PatternNode::Kind::Leaf)
+        stack.push_back(static_cast<std::uint32_t>(n.fanin0));
+    }
+  };
   auto derive = [&](std::vector<PatternEntry>& bucket,
                     std::vector<std::uint32_t>& root_shape) {
     root_shape.clear();
     for (PatternEntry& e : bucket) {
       const PatternGraph& pg =
           lib.gates()[e.gate_index].patterns[e.pattern_index];
-      e.shape.assign(pg.nodes.size(), ShapeTable::kLeaf);
-      for (std::size_t i = 0; i < pg.nodes.size(); ++i) {
+      std::size_t size = pg.nodes.size();
+      e.shape.assign(size, ShapeTable::kLeaf);
+      // A node is private when every node below it has out-degree 1:
+      // its subtree is a tree that only it reaches.  `shared` marks
+      // subtrees that contain a node of out-degree above 1.
+      wid.assign(size, WalkTable::kNone);
+      shared.assign(size, 0);
+      for (std::size_t i = 0; i < size; ++i) {
         const PatternNode& n = pg.nodes[i];
-        if (n.kind == PatternNode::Kind::Inv)
+        bool priv = true;
+        if (n.kind == PatternNode::Kind::Leaf) {
+          wid[i] = WalkTable::kLeaf;
+        } else if (n.kind == PatternNode::Kind::Inv) {
           e.shape[i] = intern(n.kind, e.shape[n.fanin0], e.shape[n.fanin0]);
-        else if (n.kind == PatternNode::Kind::Nand2)
+          priv = !shared[n.fanin0];
+          if (priv)
+            wid[i] = intern_walk(n.kind, false, wid[n.fanin0], 0, e.shape[i]);
+        } else {
           e.shape[i] = intern(n.kind, e.shape[n.fanin0], e.shape[n.fanin1]);
+          priv = !shared[n.fanin0] && !shared[n.fanin1];
+          if (priv)
+            wid[i] = intern_walk(n.kind,
+                                 e.sym_hash[n.fanin0] != e.sym_hash[n.fanin1],
+                                 wid[n.fanin0], wid[n.fanin1], e.shape[i]);
+        }
+        shared[i] = !priv || e.out_deg[i] > 1;
       }
       root_shape.push_back(e.shape[pg.root]);
+
+      // Maximal private internal nodes: the root, or a private child of a
+      // node that is not private.  Their subtrees are disjoint.
+      e.walk.assign(size, WalkTable::kNone);
+      auto internal_private = [&](std::int32_t c) {
+        return pg.nodes[c].kind != PatternNode::Kind::Leaf &&
+               wid[c] != WalkTable::kNone;
+      };
+      bool tree = internal_private(pg.root);
+      if (tree) e.walk[pg.root] = wid[pg.root];
+      for (std::size_t i = 0; i < size; ++i) {
+        const PatternNode& n = pg.nodes[i];
+        if (n.kind == PatternNode::Kind::Leaf || wid[i] != WalkTable::kNone)
+          continue;
+        for (std::int32_t c : {n.fanin0, n.fanin1})
+          if (c >= 0 && internal_private(c)) e.walk[c] = wid[c];
+      }
+      // A DAG pattern's walk binds each maximal private subtree's members
+      // from a tuple; a tree pattern is read through the gather alone.
+      e.walk_first.clear();
+      e.walk_nodes.clear();
+      from.resize(size);
+      for (std::uint32_t x = 0; x < size; ++x) from[x] = x;
+      if (tree) {
+        order.clear();
+        preorder(pg, pg.root, order);
+        for (std::uint32_t i = 0; i < size; ++i)
+          from[order[i]] = i == 0 ? PatternEntry::kRootSlot : i - 1;
+      } else {
+        e.walk_first.assign(size, 0);
+        for (std::uint32_t q = 0; q < size; ++q) {
+          if (e.walk[q] == WalkTable::kNone) continue;
+          e.walk_first[q] = static_cast<std::uint32_t>(e.walk_nodes.size());
+          preorder(pg, q, e.walk_nodes);
+        }
+      }
+      // The MatchView gather: pins, then internal nodes in pattern order.
+      std::size_t pins = lib.gates()[e.gate_index].num_inputs();
+      e.gather.assign(pins, PatternEntry::kRootSlot);
+      for (std::uint32_t x = 0; x < size; ++x)
+        if (pg.nodes[x].kind == PatternNode::Kind::Leaf)
+          e.gather[pg.nodes[x].pin] = from[x];
+      for (std::uint32_t x = 0; x < size; ++x)
+        if (pg.nodes[x].kind != PatternNode::Kind::Leaf)
+          e.gather.push_back(from[x]);
     }
   };
   derive(inv_rooted, inv_root_shape);

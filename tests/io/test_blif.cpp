@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "io/expr.hpp"
 
 namespace dagmap {
@@ -119,6 +121,29 @@ TEST(Blif, ErrorsOnMalformedInput) {
       parse_blif(".model m\n.inputs a b\n.outputs o\n.names a b o\n"
                  "11 1\n00 0\n.end\n"),
       ParseError);  // mixed on/off cover
+}
+
+TEST(Blif, WideNamesIsAParseErrorNamingTheOutput) {
+  // A .names wider than a truth table can hold is an input error: a
+  // ParseError that names the node, not a ContractError.
+  std::string text = ".model wide\n.inputs";
+  std::string fanins, row;
+  for (int i = 0; i < 17; ++i) {
+    text += " i" + std::to_string(i);
+    fanins += " i" + std::to_string(i);
+    row += '1';
+  }
+  text += "\n.outputs big\n.names" + fanins + " big\n" + row + " 1\n.end\n";
+  try {
+    parse_blif(text);
+    FAIL() << "a 17-input .names parsed";
+  } catch (const ParseError& e) {
+    std::string what = e.what();
+    EXPECT_NE(what.find("big"), std::string::npos) << what;
+    EXPECT_NE(what.find("17 inputs"), std::string::npos) << what;
+  } catch (const std::exception& e) {
+    FAIL() << "not a ParseError: " << e.what();
+  }
 }
 
 TEST(Blif, CycleDetected) {

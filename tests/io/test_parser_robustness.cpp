@@ -1,9 +1,16 @@
 // Parser robustness: randomly mutated inputs must either parse or throw
-// ParseError/ContractError — never crash, hang, or corrupt memory.
+// ParseError/ContractError — never crash, hang, or corrupt memory — and
+// input nested far past any real library is a ParseError, not a stack
+// overflow.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "io/blif.hpp"
+#include "io/expr.hpp"
 #include "io/genlib.hpp"
+#include "io/liberty.hpp"
 #include "netlist/assert.hpp"
 
 namespace dagmap {
@@ -108,6 +115,75 @@ TEST(ParserRobustness, ExpressionTorture) {
     }
   }
   SUCCEED();
+}
+
+// `open` repeated `depth` times, then `middle`, then `close` as often.
+std::string nested(const std::string& open, const std::string& middle,
+                   const std::string& close, std::size_t depth) {
+  std::string s;
+  s.reserve(depth * (open.size() + close.size()) + middle.size());
+  for (std::size_t i = 0; i < depth; ++i) s += open;
+  s += middle;
+  for (std::size_t i = 0; i < depth; ++i) s += close;
+  return s;
+}
+
+constexpr std::size_t kHostileDepth = 200'000;
+
+void expect_too_deep(const std::function<void()>& parse) {
+  try {
+    parse();
+    ADD_FAILURE() << "deeply nested input parsed";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting too deep"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ParserRobustness, DeepGenlibExpressionIsAParseError) {
+  std::string text = "GATE deep 1 O=" +
+                     nested("!(", "a", ")", kHostileDepth) +
+                     ";\n PIN a INV 1 999 1 0 1 0\n";
+  expect_too_deep([&] { parse_genlib(text); });
+  // Prefix negations without parentheses nest the same way.
+  expect_too_deep(
+      [&] { parse_expression(std::string(kHostileDepth, '!') + "a"); });
+  // The cap leaves room for any real gate function: each "!(" is two
+  // levels, a negation and a parenthesis.
+  EXPECT_NO_THROW(parse_expression(nested("!(", "a", ")", 100)));
+}
+
+const char* kLibertyInv =
+    "  cell (inv) { area : 1;\n"
+    "    pin (a) { direction : input; capacitance : 1; }\n"
+    "    pin (o) { direction : output; function : \"!a\";\n"
+    "      timing () { related_pin : \"a\"; intrinsic_rise : 1;\n"
+    "        intrinsic_fall : 1; rise_resistance : 0; fall_resistance : 0; }\n"
+    "    }\n"
+    "  }\n";
+
+TEST(ParserRobustness, DeepLibertyGroupsAreAParseError) {
+  std::string text = std::string("library (deep) {\n") + kLibertyInv +
+                     nested("g (x) { ", "", "} ", kHostileDepth) + "}\n";
+  expect_too_deep([&] { parse_liberty(text); });
+}
+
+TEST(ParserRobustness, DeepLibertyFunctionSkipsTheCell) {
+  // A function the reader cannot use skips its cell; the rest of the
+  // library still loads.
+  std::string deep = nested("!(", "a", ")", kHostileDepth);
+  std::string text =
+      std::string("library (deep) {\n") + kLibertyInv +
+      "  cell (deep) { area : 1;\n"
+      "    pin (a) { direction : input; capacitance : 1; }\n"
+      "    pin (o) { direction : output; function : \"" + deep + "\"; }\n"
+      "  }\n"
+      "}\n";
+  LibertyLibrary lib = parse_liberty(text);
+  ASSERT_EQ(lib.gates.size(), 1u);
+  EXPECT_EQ(lib.gates[0].name, "inv");
+  EXPECT_EQ(lib.cells_skipped, 1u);
 }
 
 }  // namespace

@@ -25,9 +25,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/table_runner.hpp"
 #include "core/dag_mapper.hpp"
 #include "decomp/tech_decomp.hpp"
 #include "gen/circuits.hpp"
@@ -51,20 +51,6 @@ struct Config {
   unsigned cold_reps;  ///< cold compile repetitions (cheap configs repeat)
 };
 
-/// `git describe --always --dirty` of the working directory, or
-/// "unknown" outside a checkout.
-std::string git_revision() {
-  std::string rev;
-  if (FILE* p = popen("git describe --always --dirty 2>/dev/null", "r")) {
-    char buf[128];
-    while (std::fgets(buf, sizeof buf, p) != nullptr) rev += buf;
-    pclose(p);
-  }
-  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r'))
-    rev.pop_back();
-  return rev.empty() ? "unknown" : rev;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -76,12 +62,8 @@ int main(int argc, char** argv) {
   Network circuit = make_random_dag(8, 64, 4, 0x11BCACE);
   Network subject = tech_decompose(circuit);
 
-  std::string json = "{\"bench\": \"libcache\", \"meta\": {\"git_sha\": \"" +
-                     git_revision() + "\", \"build_type\": \"" +
-                     DAGMAP_BUILD_TYPE + "\", \"compiler\": \"" +
-                     DAGMAP_COMPILER + "\", \"hardware_concurrency\": " +
-                     std::to_string(std::thread::hardware_concurrency()) +
-                     "}, \"configs\": [";
+  std::string json = "{\"bench\": \"libcache\", \"meta\": " +
+                     bench::build_meta_json() + ", \"configs\": [";
   bool ok = true;
   bool first = true;
   bool depth2_meets_10x = false;

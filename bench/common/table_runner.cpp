@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <thread>
 
 #include "decomp/tech_decomp.hpp"
 #include "gen/circuits.hpp"
@@ -87,6 +88,22 @@ std::string phases_json(const obs::ProfileData& profile) {
   }
   out += "}";
   return out;
+}
+
+std::string build_meta_json() {
+  std::string rev;
+  if (FILE* p = popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, p) != nullptr) rev += buf;
+    pclose(p);
+  }
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r'))
+    rev.pop_back();
+  if (rev.empty()) rev = "unknown";
+  return "{\"git_sha\": \"" + rev + "\", \"build_type\": \"" +
+         DAGMAP_BUILD_TYPE + "\", \"compiler\": \"" + DAGMAP_COMPILER +
+         "\", \"hardware_concurrency\": " +
+         std::to_string(std::thread::hardware_concurrency()) + "}";
 }
 
 }  // namespace dagmap::bench

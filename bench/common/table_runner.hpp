@@ -43,4 +43,11 @@ void print_table(const std::string& title, const GateLibrary& lib,
 /// `{}` when the profile is empty (profiling off).
 std::string phases_json(const obs::ProfileData& profile);
 
+/// The build a bench result came from, as a JSON object string:
+/// `{"git_sha": ..., "build_type": ..., "compiler": ...,
+/// "hardware_concurrency": N}`.  `git_sha` is `git describe --always
+/// --dirty` of the working directory, or "unknown" outside a checkout.
+/// For the `"meta"` field of a bench JSON line.
+std::string build_meta_json();
+
 }  // namespace dagmap::bench

@@ -1,6 +1,7 @@
 // Choice-aware leaf pricing — the single hook both mapping backends,
-// the partitioner, and the load-aware rounds consume when the subject
-// carries a `ChoiceClasses` annotation (netlist/choice_classes.hpp).
+// the wavefront scheduler, and the load-aware rounds consume when the
+// subject carries a `ChoiceClasses` annotation
+// (netlist/choice_classes.hpp).
 //
 // The hook owns three responsibilities:
 //

@@ -11,7 +11,6 @@
 #include "boolmatch/npn_index.hpp"
 #include "core/choice_pricing.hpp"
 #include "core/parallel.hpp"
-#include "core/partition.hpp"
 #include "cutmap/cut_set.hpp"
 #include "dagmap/load_rounds.hpp"
 #include "mapnet/cover.hpp"
@@ -154,6 +153,10 @@ MapResult map(const Network& subject, const GateLibrary& lib,
   }();
   obs::counter_add("library.patterns", lib.total_patterns());
   if (use_cuts) obs::counter_add("cutmap.npn_gates", npn->num_entries());
+
+  // Per-node state, the depth-wavefront schedule and the worker pool,
+  // timed as one phase.
+  std::optional<obs::Scope> schedule_scope(std::in_place, "schedule");
   result.label.assign(subject.size(), 0.0);
 
   // Choice-aware leaf pricing (core/choice_pricing.hpp): constructed
@@ -179,37 +182,16 @@ MapResult map(const Network& subject, const GateLibrary& lib,
   const auto& fanout = subject.fanout_counts();
   PriorityCutParams cut_params{options.cuts.size, options.cuts.count};
 
-  // Schedule selection: monolithic depth wavefronts, or the partitioned
-  // pipeline (fanout-free windows labeled wave-by-wave with boundary
-  // arrival-time exchange; see core/partition.hpp).  Both visit every
-  // node with all candidate-leaf labels settled, so results are
-  // identical.
-  bool use_partitions =
-      options.partition_mode == PartitionMode::On ||
-      (options.partition_mode == PartitionMode::Auto &&
-       subject.num_internal() >= options.partition_auto_threshold);
-  std::optional<Partitioning> parts;
-  if (use_partitions) {
-    parts = partition_subject(subject, {.window_size = options.partition_window,
-                                        .choices = choices});
-    result.partitioned = true;
-    result.num_partitions = parts->num_partitions();
-    result.partition_waves = parts->num_waves();
-    result.partition_boundary_edges = parts->boundary_edges();
-    result.partition_max_nodes = parts->max_partition_nodes();
-  }
-
-  // Depth-wavefront schedule for the monolithic path: every leaf of a
-  // candidate rooted at level L is a strict transitive fanin (level <
-  // L), so one level's nodes read only finished labels and label
-  // independently.
+  // Depth wavefronts: every leaf of a candidate rooted at level L is a
+  // strict transitive fanin (level < L), so one level's nodes read only
+  // finished labels and label independently.
   std::vector<std::vector<NodeId>> waves;
-  if (!use_partitions && choices) {
+  if (choices) {
     // Choice subjects level over the augmented edges of the
     // anchor-scheduling contract, so every class fold completes a wave
     // before its first per-class reader.
     waves = choice_wavefronts(subject, *choices);
-  } else if (!use_partitions) {
+  } else {
     std::vector<std::uint32_t> level(subject.size(), 0);
     std::uint32_t max_level = 0;
     for (NodeId n : order) {
@@ -225,6 +207,7 @@ MapResult map(const Network& subject, const GateLibrary& lib,
   }
 
   unsigned num_threads = resolve_num_threads(options.num_threads);
+  ThreadPool pool(num_threads);
   struct alignas(64) WorkerState {
     CutScratch scratch;
     /// Flat per-worker canonicalization memo (lazy 64K tables): a node's
@@ -239,6 +222,7 @@ MapResult map(const Network& subject, const GateLibrary& lib,
     Match best;
   };
   std::vector<WorkerState> workers(num_threads);
+  schedule_scope.reset();
 
   auto canon_of = [&](std::uint16_t tt, WorkerState& w)
       -> std::pair<std::uint16_t, const NpnTransform&> {
@@ -334,29 +318,13 @@ MapResult map(const Network& subject, const GateLibrary& lib,
   };
 
   // Runs `body(node, worker)` over every internal node with all fanins
-  // settled, under the selected schedule (barrier between waves).  The
-  // pool outlives labeling: the partitioned cover marking reuses it.
-  ThreadPool pool(num_threads);
+  // settled: the waves in order, a barrier between waves.
   auto run_schedule = [&](auto&& body, const char* trace) {
-    if (use_partitions) {
-      // Within a partition, members label sequentially in topological
-      // order.
-      for (std::size_t w = 0; w < parts->num_waves(); ++w) {
-        std::span<const PartId> wave = parts->wave(w);
-        pool.parallel_for(
-            wave.size(),
-            [&](std::size_t i, unsigned worker) {
-              for (NodeId n : parts->members(wave[i])) body(n, worker);
-            },
-            trace);
-      }
-    } else {
-      for (const std::vector<NodeId>& wave : waves)
-        pool.parallel_for(
-            wave.size(),
-            [&](std::size_t i, unsigned worker) { body(wave[i], worker); },
-            trace);
-    }
+    for (const std::vector<NodeId>& wave : waves)
+      pool.parallel_for(
+          wave.size(),
+          [&](std::size_t i, unsigned worker) { body(wave[i], worker); },
+          trace);
   };
 
   // Fold-time cut merge: when a class anchor labels, the union of every
@@ -469,15 +437,14 @@ MapResult map(const Network& subject, const GateLibrary& lib,
             node_af[n] = af;
           }
         },
-        use_partitions ? "label.partition" : "label.wave");
+        "label.wave");
     for (const WorkerState& w : workers)
       result.matches_enumerated += w.enumerated;
     result.match_attempts = matcher.attempts();
     result.match_prunes = matcher.pruned();
     result.truncations = matcher.truncations();
     if (obs::enabled()) {
-      obs::counter_add("label.waves",
-                       use_partitions ? parts->num_waves() : waves.size());
+      obs::counter_add("label.waves", waves.size());
       obs::counter_add("label.nodes", subject.num_internal());
       obs::counter_add("match.enumerated", result.matches_enumerated);
       obs::counter_add("match.walks", result.match_attempts);
@@ -645,19 +612,15 @@ MapResult map(const Network& subject, const GateLibrary& lib,
     }
   }
 
-  // Cover: needed-instance marking (partition-parallel when the
-  // partitioned schedule ran), then the sequential forward-topological
-  // emission — identical instance order in both modes by construction.
-  // The inverter materializes NPN matches' negations.
+  // Cover: needed-instance marking, then the forward-topological
+  // emission.  The inverter materializes NPN matches' negations.
   std::vector<std::uint8_t> needed;
   {
     obs::Scope scope("cover");
     {
       obs::Scope mark_scope("cover.mark");
-      needed = use_partitions
-                   ? mark_cover_partitioned(cnet, chosen, *parts, pool)
-                   : (choices ? mark_cover(cnet, chosen, eval_order)
-                              : mark_cover(subject, chosen));
+      needed = choices ? mark_cover(cnet, chosen, eval_order)
+                       : mark_cover(subject, chosen);
     }
     result.netlist = emit_cover(cnet, chosen, needed, {}, inv_gate);
   }

@@ -26,15 +26,9 @@
 // enumeration order, so the labels, selected gates, and mapped netlist
 // are bit-identical for every thread count.
 //
-// At multi-million-node scale the same dependency argument coarsens from
-// single nodes to fanout-free windows (core/partition.hpp): partitions
-// label wave-by-wave with boundary arrival-time exchange — a partition's
-// match leaves outside itself always sit in strictly lower-level
-// partitions, settled by the previous waves — and the cover marking runs
-// partition-parallel in reverse wave order.  `PartitionMode` selects the
-// schedule (auto above a node-count threshold); both schedules visit
-// every node with identical settled inputs, so the partitioned result is
-// bit-identical to the monolithic one at any thread/partition count.
+// This is the only schedule: coarser fanout-free windows were measured
+// against it on 1M-node subjects and did not pay for their code
+// (EXPERIMENTS.md "Partition verdict").
 //
 // The same driver runs the second candidate source (`CandidateSource::
 // Cuts`, wrapped as `cut_map` in cutmap/cut_mapper.hpp): per node the
@@ -65,18 +59,6 @@
 namespace dagmap {
 
 class NpnLibraryIndex;
-
-/// Whether the mapper runs the partitioned pipeline (core/partition.hpp):
-/// fanout-free-window partitions labeled wave-by-wave with boundary
-/// arrival-time exchange, and a partition-parallel cover marking.  The
-/// result is bit-identical to the monolithic pipeline in every mode —
-/// the knob only selects the schedule.
-enum class PartitionMode : std::uint8_t {
-  Auto,  ///< partition iff the subject has >= partition_auto_threshold
-         ///< internal nodes (where scheduling granularity pays off)
-  Off,   ///< always the monolithic depth-wavefront schedule
-  On,    ///< always the partitioned schedule
-};
 
 /// Where the labeling pass draws each node's candidate implementations.
 enum class CandidateSource : std::uint8_t {
@@ -133,13 +115,6 @@ struct MapOptions {
   /// spanning the whole pipeline), the mapper instruments into it and
   /// `MapResult::profile` snapshots that session.
   bool profile = false;
-  /// Partitioned-pipeline selection (see PartitionMode).
-  PartitionMode partition_mode = PartitionMode::Auto;
-  /// Maximum internal nodes per partition window
-  /// (PartitionOptions::window_size).
-  std::uint32_t partition_window = 1024;
-  /// Auto mode enables partitioning at this many internal nodes.
-  std::size_t partition_auto_threshold = 200000;
   /// Library-side match pre-index to reuse (match/pattern_index.hpp).
   /// Null builds one per call; a persistent caller — the compiled-
   /// library cache, serve mode — passes the index it computed (or
@@ -219,13 +194,8 @@ struct MapResult {
   std::size_t covered_instances = 0;
   std::size_t covered_distinct = 0;
   std::size_t duplicated_nodes = 0;
-  /// Partitioned-pipeline summary (zeros when the monolithic schedule
-  /// ran; see core/partition.hpp).
-  bool partitioned = false;
-  std::size_t num_partitions = 0;
-  std::size_t partition_waves = 0;
-  std::size_t partition_boundary_edges = 0;
-  std::size_t partition_max_nodes = 0;
+  std::size_t num_partitions = 0;   ///< always 0; perfbench reads it
+  std::size_t partition_waves = 0;  ///< always 0; perfbench reads it
   /// Per-phase timings, counters and trace events; only populated when
   /// `MapOptions::profile` is set (`profile.collected`).
   obs::ProfileData profile;

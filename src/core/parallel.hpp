@@ -1,8 +1,12 @@
 // Minimal worker pool for the parallel wavefront labeler.
 //
-// No external dependencies: std::thread workers pull indices off a
-// shared atomic counter (work stealing at item granularity — labeling
-// one subject node is coarse enough that finer chunking buys nothing).
+// No external dependencies: std::thread workers claim contiguous
+// chunks of indices off a shared atomic counter, one `fetch_add` per
+// chunk.  The chunk size follows from the job size — about eight chunks
+// per worker, at most `kMaxChunk` indices — so a short job still
+// spreads over every worker, while a long one (a wide labeling wave of
+// cheap nodes) does not pay one contended atomic per index.  Small
+// chunks keep the tail short when a worker is descheduled mid-chunk.
 // The calling thread participates as worker 0, so a pool of n threads
 // spawns n-1 workers, and a pool of 1 runs everything inline — the
 // sequential path stays byte-for-byte the sequential path.
@@ -10,8 +14,12 @@
 // `parallel_for` is a barrier: it returns only after every index has
 // been processed and every worker has quiesced, so writes made by the
 // body are visible to the caller (and to the next `parallel_for`)
-// without further synchronization.  The first exception thrown by a
-// body cancels remaining work and is rethrown on the calling thread.
+// without further synchronization.  Waiting threads (idle workers, and
+// the caller at the barrier) poll for about 100 microseconds before
+// they block on a condition variable, so back-to-back jobs — one per
+// labeling wave, thousands on a deep subject — rarely pay a sleep and
+// wake-up.  The first exception thrown by a body cancels remaining work
+// and is rethrown on the calling thread.
 #pragma once
 
 #include <cstddef>
@@ -40,6 +48,13 @@ class ThreadPool {
   unsigned num_workers() const {
     return static_cast<unsigned>(threads_.size()) + 1;
   }
+
+  /// Largest number of indices one `fetch_add` claims.
+  static constexpr std::size_t kMaxChunk = 16;
+
+  /// Indices claimed per `fetch_add` for a job of `count` indices:
+  /// ceil(count / (8 * num_workers())), clamped to [1, kMaxChunk].
+  std::size_t chunk_size(std::size_t count) const;
 
   /// Runs `body(index, worker)` for every index in [0, count), spread
   /// over the workers; `worker` ranges over [0, num_workers()).  Blocks

@@ -14,11 +14,11 @@
 // <= the structural source's label, hence mapped delay is never worse
 // (and usually better where the decomposition hid a match).
 //
-// Scheduling, the partitioned pipeline, determinism, choice pricing,
-// load-aware rounds, the area-recovery rounds and the cover are the
-// driver's: results are bit-identical at any thread count and with or
-// without partitioning.  The round-0 cut sets are kept for the area
-// rounds, so their candidate space is exactly the labeling pass's.
+// Scheduling, determinism, choice pricing, load-aware rounds, the
+// area-recovery rounds and the cover are the driver's: results are
+// bit-identical at any thread count.  The round-0 cut sets are kept for
+// the area rounds, so their candidate space is exactly the labeling
+// pass's.
 #pragma once
 
 #include "boolmatch/npn_index.hpp"

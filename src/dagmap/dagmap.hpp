@@ -24,7 +24,6 @@
 #include "check/reference_cover.hpp"
 #include "check/shrink.hpp"
 #include "core/dag_mapper.hpp"
-#include "core/partition.hpp"
 #include "cutmap/cut_mapper.hpp"
 #include "cutmap/cuts.hpp"
 #include "dagmap/load_rounds.hpp"

@@ -8,15 +8,13 @@
 // this is exactly where logic duplication happens automatically, and
 // under tree covering (exact matches) it never does.
 //
-// The pass is split in two so the partitioned pipeline can parallelize
-// the reachability half while keeping the construction half sequential:
+// The pass is split in two, reachability and construction:
 //   * `mark_cover` — reverse-topological "needed" marking: a node needs
 //     an instance iff it drives a PO / latch D or is a leaf of a needed
 //     node's selected match (constants included);
 //   * `emit_cover` — one forward-topological sweep creating exactly the
 //     marked instances.  The instance order is a function of the subject
-//     graph alone, never of the marking schedule, which is what makes
-//     partitioned and monolithic covers bit-identical by construction.
+//     graph alone, never of the marking schedule.
 // `build_cover` composes the two (the sequential mappers' entry point).
 #pragma once
 
@@ -52,7 +50,7 @@ std::vector<std::uint8_t> mark_cover(
     std::span<const NodeId> order);
 
 /// Builds the mapped netlist for a precomputed `needed` marking (from
-/// `mark_cover` or the partitioned equivalent): PIs and latch
+/// `mark_cover`): PIs and latch
 /// placeholders first, then one forward-topological sweep over the
 /// subject emitting each marked constant / selected gate.
 ///

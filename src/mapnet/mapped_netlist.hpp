@@ -125,8 +125,8 @@ class MappedNetlist {
   /// kinds, gate names, fanins, instance names, inputs, latches and
   /// outputs.  Two netlists built through the same construction sequence
   /// hash equal iff they are bit-identical — the cheap large-scale
-  /// equality check used by the partitioned-vs-monolithic pipeline
-  /// comparisons, where materializing BLIF text would dominate.
+  /// equality check used by the thread-count identity comparisons,
+  /// where materializing BLIF text would dominate.
   std::uint64_t structural_hash() const;
 
   /// Converts to a logic network for simulation/equivalence: gate

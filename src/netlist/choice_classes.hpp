@@ -6,8 +6,8 @@
 // graph*, owned next to the `Network` the way the `TopologyCache` is
 // (mockturtle's `choice_view` takes the same stance): every consumer of
 // the subject — the structural DAG mapper, the priority-cut mapper, the
-// partitioner, the cover machinery — sees one `ChoiceClasses` and prices
-// match/cut leaves per class instead of per node.  Matches and cuts
+// wavefront scheduler, the cover machinery — sees one `ChoiceClasses`
+// and prices match/cut leaves per class instead of per node.  Matches and cuts
 // never cross a class boundary (ABC's restriction): a variant is an
 // opaque alternative, selected wholesale by re-pointing leaves at the
 // class-best variant at cover time.
@@ -22,7 +22,7 @@
 //   * a reader n prices leaf x per-class iff x is classed and
 //     n > anchor(class(x)) — a static id comparison;
 //   * dependency edges f -> n with n > anchor(f) are re-attributed to
-//     anchor(f) -> n for leveling/partitioning, and every non-anchor
+//     anchor(f) -> n for leveling, and every non-anchor
 //     member gets an edge onto its anchor,
 //
 // so every per-class reader is scheduled strictly after the fold, and

@@ -1,7 +1,7 @@
 // Choice networks as a first-class layer (§4's Lehman–Watanabe
 // combination): the ChoiceClasses annotation, the variant generators,
 // choice-aware mapping on both backends, and the determinism contracts
-// (choices-off bit-identity, thread/partition bit-identity).
+// (choices-off bit-identity, thread-count bit-identity).
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -280,7 +280,7 @@ TEST(ChoiceMap, BitIdenticalAcrossThreadCounts) {
   base.choices = &c.classes;
   MapResult r1 = dag_map(c.subject, lib, base);
   std::string blif1 = write_mapped_blif(r1.netlist);
-  for (unsigned threads : {2u, 8u}) {
+  for (unsigned threads : {2u, 4u, 8u}) {
     DagMapOptions o = base;
     o.num_threads = threads;
     MapResult r = dag_map(c.subject, lib, o);
@@ -292,7 +292,7 @@ TEST(ChoiceMap, BitIdenticalAcrossThreadCounts) {
   cbase.choices = &c.classes;
   MapResult q1 = cut_map(c.subject, lib, cbase);
   std::string cblif1 = write_mapped_blif(q1.netlist);
-  for (unsigned threads : {2u, 8u}) {
+  for (unsigned threads : {2u, 4u, 8u}) {
     CutMapOptions o = cbase;
     o.num_threads = threads;
     MapResult q = cut_map(c.subject, lib, o);
@@ -300,27 +300,6 @@ TEST(ChoiceMap, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(write_mapped_blif(q.netlist), cblif1)
         << threads << " threads (cuts)";
   }
-}
-
-TEST(ChoiceMap, PartitionedPipelineIsBitIdentical) {
-  GateLibrary lib = make_lib2_library();
-  ChoiceDecomposition c = tech_decompose_choices(make_alu(4));
-  c.validate();
-
-  DagMapOptions mono;
-  mono.partition_mode = PartitionMode::Off;
-  mono.choices = &c.classes;
-  MapResult rm = dag_map(c.subject, lib, mono);
-
-  DagMapOptions part = mono;
-  part.partition_mode = PartitionMode::On;
-  part.partition_window = 16;
-  part.num_threads = 2;
-  MapResult rp = dag_map(c.subject, lib, part);
-  EXPECT_TRUE(rp.partitioned);
-  EXPECT_EQ(rp.label, rm.label);
-  EXPECT_EQ(rp.optimal_delay, rm.optimal_delay);
-  EXPECT_EQ(write_mapped_blif(rp.netlist), write_mapped_blif(rm.netlist));
 }
 
 TEST(ChoiceMap, InertAnnotationIsBitIdenticalToNull) {

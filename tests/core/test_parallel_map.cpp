@@ -1,19 +1,28 @@
-// Parallel wavefront labeling: thread-count invariance of dag_map, and
-// the ThreadPool primitive itself.  This binary carries the `tsan` CTest
-// label; build with -DDAGMAP_SANITIZE=thread and run `ctest -L tsan` to
-// exercise the parallel labeler under ThreadSanitizer.
+// Parallel wavefront labeling: thread-count invariance of dag_map — on
+// the small suite, crafted reconvergent and shared-fanout subjects, a
+// sequential circuit and the golden corpus — and the ThreadPool
+// primitive itself.  This binary carries the `tsan` CTest label; build
+// with -DDAGMAP_SANITIZE=thread and run `ctest -L tsan` to exercise the
+// parallel labeler under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
 #include <numeric>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "check/fuzz_pipeline.hpp"
 #include "core/dag_mapper.hpp"
 #include "core/parallel.hpp"
 #include "decomp/tech_decomp.hpp"
 #include "gen/circuits.hpp"
+#include "io/blif.hpp"
+#include "io/genlib.hpp"
 #include "library/standard_libs.hpp"
+#include "mapnet/write.hpp"
+#include "supergate/supergate.hpp"
 #include "treemap/tree_mapper.hpp"
 
 namespace dagmap {
@@ -22,14 +31,34 @@ namespace {
 // ---- ThreadPool ---------------------------------------------------------
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
+  // Counts on both sides of every chunk-size step: one index, one per
+  // worker, around eight per worker (where chunks grow past one index),
+  // and a prime large enough for the chunk cap.
   for (unsigned threads : {1u, 2u, 4u}) {
     ThreadPool pool(threads);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.parallel_for(hits.size(), [&](std::size_t i, unsigned) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    const std::size_t w = pool.num_workers();
+    for (std::size_t count :
+         {std::size_t{1}, w, 8 * w - 1, 8 * w, 8 * w + 1, std::size_t{1000},
+          std::size_t{10007}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " count=" << count);
+      std::vector<std::atomic<int>> hits(count);
+      pool.parallel_for(count, [&](std::size_t i, unsigned worker) {
+        EXPECT_LT(worker, pool.num_workers());
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    }
   }
+}
+
+TEST(ThreadPool, ChunkSizeFollowsCountAndWorkers) {
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.chunk_size(1), 1u);
+  EXPECT_EQ(pool.chunk_size(32), 1u);   // 8 chunks per worker
+  EXPECT_EQ(pool.chunk_size(33), 2u);
+  EXPECT_EQ(pool.chunk_size(10007), ThreadPool::kMaxChunk);
+  EXPECT_EQ(ThreadPool(1).chunk_size(10007), ThreadPool::kMaxChunk);
 }
 
 TEST(ThreadPool, ReusableAcrossJobs) {
@@ -45,10 +74,16 @@ TEST(ThreadPool, ReusableAcrossJobs) {
 TEST(ThreadPool, PropagatesBodyException) {
   for (unsigned threads : {1u, 4u}) {
     ThreadPool pool(threads);
+    // 10007 indices run in chunks of kMaxChunk; the throwing index sits
+    // in the middle of one, so the rest of that chunk is abandoned.
+    const std::size_t count = 10007;
+    const std::size_t chunk = pool.chunk_size(count);
+    ASSERT_GT(chunk, 2u);
+    const std::size_t bad = 40 * chunk + chunk / 2;
     EXPECT_THROW(
-        pool.parallel_for(100,
+        pool.parallel_for(count,
                           [&](std::size_t i, unsigned) {
-                            if (i == 37) throw std::runtime_error("boom");
+                            if (i == bad) throw std::runtime_error("boom");
                           }),
         std::runtime_error);
     // The pool survives a throwing job.
@@ -70,7 +105,9 @@ void expect_identical_maps(const Network& subject, const GateLibrary& lib,
                            DagMapOptions base) {
   base.num_threads = 1;
   MapResult seq = dag_map(subject, lib, base);
-  for (unsigned threads : {2u, 8u}) {
+  const std::string seq_blif = write_mapped_blif(seq.netlist);
+  for (unsigned threads : {2u, 4u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
     DagMapOptions o = base;
     o.num_threads = threads;
     MapResult par = dag_map(subject, lib, o);
@@ -83,6 +120,8 @@ void expect_identical_maps(const Network& subject, const GateLibrary& lib,
     EXPECT_EQ(par.netlist.num_gates(), seq.netlist.num_gates());
     EXPECT_EQ(par.netlist.total_area(), seq.netlist.total_area());
     EXPECT_EQ(par.netlist.gate_histogram(), seq.netlist.gate_histogram());
+    EXPECT_EQ(par.netlist.structural_hash(), seq.netlist.structural_hash());
+    EXPECT_EQ(write_mapped_blif(par.netlist), seq_blif);
     // Identical work: the same matches were enumerated.
     EXPECT_EQ(par.matches_enumerated, seq.matches_enumerated);
     EXPECT_EQ(par.match_attempts, seq.match_attempts);
@@ -95,6 +134,91 @@ TEST(ParallelDagMap, DeterministicAcrossThreadCountsOnSuite) {
   for (const BenchmarkCircuit& bc : make_small_suite()) {
     Network subject = tech_decompose(bc.network);
     expect_identical_maps(subject, lib, {});
+  }
+}
+
+TEST(ParallelDagMap, DeterministicAcrossThreadCountsOnReconvergentDiamonds) {
+  // Chained diamonds: every apex reconverges two fanout branches, and
+  // each diamond spans several depth waves.
+  Network n("diamonds");
+  NodeId a = n.add_input("a");
+  NodeId b = n.add_input("b");
+  NodeId cur = n.add_nand2(a, b);
+  for (int i = 0; i < 12; ++i) {
+    NodeId l = n.add_nand2(cur, a);
+    NodeId r = n.add_inv(cur);
+    NodeId rr = n.add_nand2(r, b);
+    cur = n.add_nand2(l, rr);
+  }
+  n.add_output(cur, "y");
+  ASSERT_TRUE(n.is_subject_graph());
+  expect_identical_maps(n, make_lib2_library(), {});
+}
+
+TEST(ParallelDagMap, DeterministicAcrossThreadCountsOnSharedFanoutLadder) {
+  // A wide multi-fanout hub read by one whole wave of nodes.
+  Network n("ladder");
+  NodeId x = n.add_input("x");
+  NodeId y = n.add_input("y");
+  NodeId hub = n.add_nand2(x, y);
+  std::vector<NodeId> tips;
+  for (int i = 0; i < 16; ++i) {
+    NodeId t = n.add_nand2(hub, i % 2 ? x : y);
+    tips.push_back(n.add_inv(t));
+  }
+  NodeId acc = tips[0];
+  for (std::size_t i = 1; i < tips.size(); ++i)
+    acc = n.add_nand2(acc, tips[i]);
+  n.add_output(acc, "z");
+  ASSERT_TRUE(n.is_subject_graph());
+  expect_identical_maps(n, make_lib2_library(), {});
+}
+
+TEST(ParallelDagMap, DeterministicAcrossThreadCountsOnSequentialCircuit) {
+  Network subject = tech_decompose(make_sequential_pipeline(2, 8, 5, 2));
+  ASSERT_GT(subject.num_latches(), 0u);
+  expect_identical_maps(subject, make_lib2_library(), {});
+}
+
+std::string golden_path(const std::string& rel) {
+  return std::string(DAGMAP_TEST_DATA_DIR) + "/golden/" + rel;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(ParallelDagMap, DeterministicAcrossThreadCountsOnGoldenCorpus) {
+  // Every corpus pair, the supergate-augmented entries (`stem+sg`)
+  // included.
+  std::ifstream in(golden_path("golden.expect"));
+  ASSERT_TRUE(in.good()) << "missing tests/data/golden/golden.expect";
+  std::vector<std::string> names;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream ls(line);
+    std::string name;
+    ls >> name;
+    names.push_back(name);
+  }
+  ASSERT_GE(names.size(), 4u);
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const std::size_t plus = name.find('+');
+    const std::string stem = name.substr(0, plus);
+    Network circuit = parse_blif(slurp(golden_path(stem + ".blif")));
+    std::vector<GenlibGate> gates =
+        parse_genlib(slurp(golden_path(stem + ".genlib")));
+    GateLibrary lib =
+        plus != std::string::npos
+            ? std::move(generate_supergates(gates, {}, name).library)
+            : GateLibrary::from_genlib(gates, name);
+    expect_identical_maps(tech_decompose(circuit), lib, {});
   }
 }
 

@@ -43,8 +43,6 @@ constexpr Fingerprint kExpected[] = {
     {"lib2", "mult4", "cuts_choices", 0x54d8380d09a5b489ull, 14.200000000000001, 383, 6844},
     {"lib2", "mult4", "load_rounds2", 0x72fd9d45d5ce932cull, 22.569612903225803, 282, 600},
     {"lib2", "mult4", "cuts_load_rounds2", 0xa2a393a599f6366cull, 15.200000000000001, 376, 2395},
-    {"lib2", "mult4", "partition", 0xcd20ca0550096eedull, 15.4, 355, 600},
-    {"lib2", "mult4", "cuts_partition", 0xa2a393a599f6366cull, 15.200000000000001, 376, 2395},
     {"lib2", "mult4", "threads4", 0xcd20ca0550096eedull, 15.4, 355, 600},
     {"lib2", "mult4", "cuts_threads4", 0xa2a393a599f6366cull, 15.200000000000001, 376, 2395},
     {"lib2", "alu4", "default", 0x62ee6801fcab4410ull, 13.799999999999999, 179, 249},
@@ -57,8 +55,6 @@ constexpr Fingerprint kExpected[] = {
     {"lib2", "alu4", "cuts_choices", 0xf72f9ff1971e1f26ull, 11.4, 188, 4452},
     {"lib2", "alu4", "load_rounds2", 0x62ee6801fcab4410ull, 13.799999999999999, 179, 249},
     {"lib2", "alu4", "cuts_load_rounds2", 0x64e991457021e5aeull, 16.240000000000002, 187, 1290},
-    {"lib2", "alu4", "partition", 0x62ee6801fcab4410ull, 13.799999999999999, 179, 249},
-    {"lib2", "alu4", "cuts_partition", 0x00deff13c914f7fbull, 12.4, 188, 1279},
     {"lib2", "alu4", "threads4", 0x62ee6801fcab4410ull, 13.799999999999999, 179, 249},
     {"lib2", "alu4", "cuts_threads4", 0x00deff13c914f7fbull, 12.4, 188, 1279},
     {"lib2", "cmp8", "default", 0x96b2c44015f121beull, 8.5999999999999996, 248, 593},
@@ -71,8 +67,6 @@ constexpr Fingerprint kExpected[] = {
     {"lib2", "cmp8", "cuts_choices", 0xa7ca0e001555c0d2ull, 8.7999999999999989, 179, 3027},
     {"lib2", "cmp8", "load_rounds2", 0x96b2c44015f121beull, 8.5999999999999996, 248, 593},
     {"lib2", "cmp8", "cuts_load_rounds2", 0x55d3466967d7ee8aull, 10.484726027397262, 194, 2015},
-    {"lib2", "cmp8", "partition", 0x96b2c44015f121beull, 8.5999999999999996, 248, 593},
-    {"lib2", "cmp8", "cuts_partition", 0x67e2eb5bc26f5e8dull, 8.5999999999999996, 188, 1999},
     {"lib2", "cmp8", "threads4", 0x96b2c44015f121beull, 8.5999999999999996, 248, 593},
     {"lib2", "cmp8", "cuts_threads4", 0x67e2eb5bc26f5e8dull, 8.5999999999999996, 188, 1999},
     {"lib2", "rand200", "default", 0xeaf2fb5a5ceae330ull, 40.200000000000003, 1516, 4981},
@@ -85,8 +79,6 @@ constexpr Fingerprint kExpected[] = {
     {"lib2", "rand200", "cuts_choices", 0x37f11a15daea0ff4ull, 23.600000000000001, 1168, 52224},
     {"lib2", "rand200", "load_rounds2", 0x32ab39d999a1f471ull, 71.040865800865816, 1636, 4981},
     {"lib2", "rand200", "cuts_load_rounds2", 0x29c66b7dda31635full, 51.993023809523812, 1297, 12305},
-    {"lib2", "rand200", "partition", 0xeaf2fb5a5ceae330ull, 40.200000000000003, 1516, 4981},
-    {"lib2", "rand200", "cuts_partition", 0xf04adc226b3908adull, 27.200000000000003, 1255, 12327},
     {"lib2", "rand200", "threads4", 0xeaf2fb5a5ceae330ull, 40.200000000000003, 1516, 4981},
     {"lib2", "rand200", "cuts_threads4", 0xf04adc226b3908adull, 27.200000000000003, 1255, 12327},
     {"44-3", "mult4", "default", 0xfed9946e5cee8ea0ull, 15.280000000000001, 357, 1541},
@@ -99,8 +91,6 @@ constexpr Fingerprint kExpected[] = {
     {"44-3", "mult4", "cuts_choices", 0xdfda4ff5017bf8dcull, 13.370000000000001, 414, 25950},
     {"44-3", "mult4", "load_rounds2", 0xfed9946e5cee8ea0ull, 15.280000000000001, 357, 1541},
     {"44-3", "mult4", "cuts_load_rounds2", 0x9135723b260b9a92ull, 15.080000000000004, 414, 7639},
-    {"44-3", "mult4", "partition", 0xfed9946e5cee8ea0ull, 15.280000000000001, 357, 1541},
-    {"44-3", "mult4", "cuts_partition", 0x9135723b260b9a92ull, 15.080000000000004, 414, 7639},
     {"44-3", "mult4", "threads4", 0xfed9946e5cee8ea0ull, 15.280000000000001, 357, 1541},
     {"44-3", "mult4", "cuts_threads4", 0x9135723b260b9a92ull, 15.080000000000004, 414, 7639},
     {"44-3", "alu4", "default", 0xfb7217bd2b481181ull, 13.890000000000004, 200, 598},
@@ -113,8 +103,6 @@ constexpr Fingerprint kExpected[] = {
     {"44-3", "alu4", "cuts_choices", 0x2f10ba90a1ec641dull, 10.68, 210, 14656},
     {"44-3", "alu4", "load_rounds2", 0xfb7217bd2b481181ull, 13.890000000000004, 200, 598},
     {"44-3", "alu4", "cuts_load_rounds2", 0xdabd2d2b932a0539ull, 13.390000000000001, 234, 4104},
-    {"44-3", "alu4", "partition", 0xfb7217bd2b481181ull, 13.890000000000004, 200, 598},
-    {"44-3", "alu4", "cuts_partition", 0xdabd2d2b932a0539ull, 13.390000000000001, 234, 4104},
     {"44-3", "alu4", "threads4", 0xfb7217bd2b481181ull, 13.890000000000004, 200, 598},
     {"44-3", "alu4", "cuts_threads4", 0xdabd2d2b932a0539ull, 13.390000000000001, 234, 4104},
     {"44-3", "cmp8", "default", 0x65a3b5ae96c6b2b9ull, 7.3399999999999999, 171, 4131},
@@ -127,8 +115,6 @@ constexpr Fingerprint kExpected[] = {
     {"44-3", "cmp8", "cuts_choices", 0x18d5855b9fca6908ull, 8.1799999999999997, 174, 11231},
     {"44-3", "cmp8", "load_rounds2", 0x65a3b5ae96c6b2b9ull, 7.3399999999999999, 171, 4131},
     {"44-3", "cmp8", "cuts_load_rounds2", 0x02f4f6c37e4d2257ull, 7.3100000000000005, 204, 8413},
-    {"44-3", "cmp8", "partition", 0x65a3b5ae96c6b2b9ull, 7.3399999999999999, 171, 4131},
-    {"44-3", "cmp8", "cuts_partition", 0x02f4f6c37e4d2257ull, 7.3100000000000005, 204, 8413},
     {"44-3", "cmp8", "threads4", 0x65a3b5ae96c6b2b9ull, 7.3399999999999999, 171, 4131},
     {"44-3", "cmp8", "cuts_threads4", 0x02f4f6c37e4d2257ull, 7.3100000000000005, 204, 8413},
     {"44-3", "rand200", "default", 0xd05117093d50522aull, 32.160000000000004, 1513, 51092},
@@ -141,8 +127,6 @@ constexpr Fingerprint kExpected[] = {
     {"44-3", "rand200", "cuts_choices", 0x11b119068d2aa149ull, 20.260000000000002, 1295, 356490},
     {"44-3", "rand200", "load_rounds2", 0xd05117093d50522aull, 32.160000000000004, 1513, 51092},
     {"44-3", "rand200", "cuts_load_rounds2", 0x4562d5b62a7868c8ull, 23.969999999999999, 1365, 70738},
-    {"44-3", "rand200", "partition", 0xd05117093d50522aull, 32.160000000000004, 1513, 51092},
-    {"44-3", "rand200", "cuts_partition", 0x4562d5b62a7868c8ull, 23.969999999999999, 1365, 70738},
     {"44-3", "rand200", "threads4", 0xd05117093d50522aull, 32.160000000000004, 1513, 51092},
     {"44-3", "rand200", "cuts_threads4", 0x4562d5b62a7868c8ull, 23.969999999999999, 1365, 70738},
 };
@@ -154,7 +138,6 @@ const char* const kFlagSets[] = {
     "cuts",              "cuts_rounds3_df12",
     "choices",           "cuts_choices",
     "load_rounds2",      "cuts_load_rounds2",
-    "partition",         "cuts_partition",
     "threads4",          "cuts_threads4",
 };
 
@@ -197,14 +180,6 @@ MapResult map_with(const std::string& flags, const Network& circuit,
   }
   if (flags == "cuts_load_rounds2") {
     c.load_rounds = 2;
-    return cut_map(subject, lib, c);
-  }
-  if (flags == "partition") {
-    d.partition_mode = PartitionMode::On;
-    return dag_map(subject, lib, d);
-  }
-  if (flags == "cuts_partition") {
-    c.partition_mode = PartitionMode::On;
     return cut_map(subject, lib, c);
   }
   if (flags == "threads4") {

@@ -1,5 +1,5 @@
-// Scale tier: the partitioned mapping pipeline end-to-end on large
-// random subject graphs (gen/make_random_subject_graph).  The ~100k
+// Scale tier: the mapping pipeline end-to-end on large random subject
+// graphs (gen/make_random_subject_graph), 1 thread against 4.  The ~100k
 // smoke runs in the default tier (CTest label `scale`); the 1M-node run
 // only fires in the `long` CTest configuration (`ctest -C long -L
 // fuzz-long`), gated here by the DAGMAP_SCALE_LONG environment variable.
@@ -8,33 +8,28 @@
 #include <cstdlib>
 
 #include "core/dag_mapper.hpp"
-#include "core/partition.hpp"
 #include "gen/circuits.hpp"
 #include "library/standard_libs.hpp"
 
 namespace dagmap {
 namespace {
 
-// Monolithic single-thread vs partitioned multi-thread on one subject:
-// labels, delay, and netlist structural hash must be bit-identical.
-// (BLIF byte comparison lives in the small-circuit tests — at this scale
-// the hash is the cheap whole-netlist equality check.)
+// Single-thread vs 4-thread on one subject (wide waves, so every wave
+// runs in chunks on every worker): labels, delay, and netlist structural
+// hash must be bit-identical.  (BLIF byte comparison lives in the
+// small-circuit tests — at this scale the hash is the cheap
+// whole-netlist equality check.)
 void expect_scale_identity(std::size_t num_nodes, std::uint64_t seed) {
   Network subject = make_random_subject_graph(num_nodes, 64, 32, seed);
   GateLibrary lib = make_lib2_library();
 
-  DagMapOptions mono;
-  mono.partition_mode = PartitionMode::Off;
-  mono.num_threads = 1;
-  MapResult ref = dag_map(subject, lib, mono);
-  EXPECT_FALSE(ref.partitioned);
+  DagMapOptions seq;
+  seq.num_threads = 1;
+  MapResult ref = dag_map(subject, lib, seq);
 
-  DagMapOptions part;
-  part.partition_mode = PartitionMode::On;
-  part.num_threads = 0;  // all hardware threads
-  MapResult r = dag_map(subject, lib, part);
-  EXPECT_TRUE(r.partitioned);
-  EXPECT_GT(r.num_partitions, 1u);
+  DagMapOptions par;
+  par.num_threads = 4;
+  MapResult r = dag_map(subject, lib, par);
 
   ASSERT_EQ(r.label, ref.label);
   EXPECT_EQ(r.optimal_delay, ref.optimal_delay);
@@ -44,21 +39,10 @@ void expect_scale_identity(std::size_t num_nodes, std::uint64_t seed) {
 }
 
 TEST(ScalePipeline, HundredKNodeSmoke) {
-  // Above the auto threshold would also partition by default; the test
-  // forces both schedules explicitly so the comparison is self-contained.
   expect_scale_identity(100000, 0x5CA1E);
 }
 
-TEST(ScalePipeline, PartitioningValidatesAtScale) {
-  Network subject = make_random_subject_graph(100000, 64, 32, 7);
-  PartitionOptions po;  // default 1024 window
-  Partitioning parts = partition_subject(subject, po);
-  parts.validate(subject, po);
-  EXPECT_GT(parts.num_partitions(), 1u);
-  EXPECT_LE(parts.max_partition_nodes(), po.window_size);
-}
-
-TEST(ScaleLong, MillionNodePartitionedIdentity) {
+TEST(ScaleLong, MillionNodeThreadIdentity) {
   if (std::getenv("DAGMAP_SCALE_LONG") == nullptr)
     GTEST_SKIP() << "set DAGMAP_SCALE_LONG=1 (ctest -C long) to run";
   expect_scale_identity(1000000, 0x1A11E);

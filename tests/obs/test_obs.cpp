@@ -7,6 +7,8 @@
 
 #include <thread>
 
+#include "core/dag_mapper.hpp"
+#include "gen/circuits.hpp"
 #include "io/genlib.hpp"
 #include "libcache/compiled_library.hpp"
 #include "library/standard_libs.hpp"
@@ -267,6 +269,28 @@ TEST_F(ObsTest, LibraryBuildSubPhasesNestAndCoverTheBuild) {
 
   compile_library(text, {}, "44-3-like");  // no session: inert
   EXPECT_EQ(obs::collect().events.size(), prof.events.size());
+}
+
+// The top-level phases of one `map` call (match.build, schedule, label,
+// cover, stats) account for at least 98 % of its wall time on a
+// subject large enough that per-node work outside a phase would show.
+TEST_F(ObsTest, MapPhasesCoverTheMapping) {
+  Network subject = make_random_subject_graph(100000, 64, 32, 0x0B5);
+  GateLibrary lib = make_lib2_library();
+  MapOptions o;
+  o.profile = true;
+  MapResult r = dag_map(subject, lib, o);
+  ASSERT_TRUE(r.profile.collected);
+  double phased = 0.0;
+  for (const obs::PhaseSummary& p : r.profile.phases) phased += p.seconds;
+  for (const char* name : {"match.build", "schedule", "label", "cover"}) {
+    bool seen = false;
+    for (const obs::PhaseSummary& p : r.profile.phases)
+      seen = seen || p.name == name;
+    EXPECT_TRUE(seen) << name;
+  }
+  EXPECT_GE(phased, 0.98 * r.cpu_seconds)
+      << "phases " << phased << " s of " << r.cpu_seconds << " s";
 }
 
 }  // namespace

@@ -64,7 +64,6 @@ INSTANTIATE_TEST_SUITE_P(
         BadFlag{"--rounds 99999999999",
                 "error: bad --rounds value `99999999999`"},
         BadFlag{"--supergates=two", "error: bad --supergates value `two`"},
-        BadFlag{"--partition=-4", "error: bad --partition value `-4`"},
         BadFlag{"--load-rounds=1.5", "error: bad --load-rounds value `1.5`"},
         BadFlag{"--load-rounds ' 2'", "error: bad --load-rounds value ` 2`"},
         BadFlag{"--buffer 0x2", "error: bad --buffer value `0x2`"},
@@ -76,11 +75,22 @@ INSTANTIATE_TEST_SUITE_P(
         BadFlag{"--delay-factor 101",
                 "error: bad delay factor 101 (want 1..100)"}));
 
+TEST(CliNumericFlags, RemovedScheduleFlagsAreUnknown) {
+  // There is one labeling schedule, so there are no schedule flags.
+  for (const char* flag : {"--partition", "--partition=64", "--no-partition"}) {
+    CliRun r = run_cli(std::string(flag) + " circuit.blif");
+    EXPECT_EQ(r.exit_code, 2) << flag;
+    EXPECT_NE(r.output.find(std::string("error: unknown option ") + flag),
+              std::string::npos)
+        << flag << ": " << r.output;
+  }
+}
+
 TEST(CliNumericFlags, WellFormedValuesParse) {
   // Every value parses, so the first complaint is the missing circuit.
   CliRun r = run_cli(
       "--threads 2 --lib44 3 --backend cuts --cut-size 3 --cut-count 4 "
-      "--rounds 2 --supergates=1 --partition=64 --load-rounds=1 --buffer 0 "
+      "--rounds 2 --supergates=1 --load-rounds=1 --buffer 0 "
       "--lut 0");
   EXPECT_EQ(r.exit_code, 2) << r.output;
   EXPECT_NE(r.output.find("error: no circuit file"), std::string::npos)
@@ -125,7 +135,7 @@ TEST(CliMapFlags, MappingFlagsOutsideTheDagFlowAreUsageErrors) {
   for (const char* args :
        {"--mapper tree --area-recovery", "--mapper tree --match extended",
         "--mapper tree --load-rounds 1", "--mapper tree --backend cuts",
-        "--lut 4 --rounds 3", "--lut 4 --partition", "--serve --backend cuts"}) {
+        "--lut 4 --rounds 3", "--serve --backend cuts"}) {
     CliRun r = run_cli(std::string(args) + " circuit.blif");
     EXPECT_EQ(r.exit_code, 2) << args;
     EXPECT_NE(r.output.find("apply to the dag/cuts mapping flow"),

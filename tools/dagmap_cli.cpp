@@ -47,10 +47,6 @@
 //                             supergates before mapping (depth default 2)
 //   --threads <n>             labeling worker threads (0 = all cores,
 //                             default 1; output is identical either way)
-//   --partition[=window]      force the partitioned mapping pipeline
-//                             (fanout-free windows, default size 1024);
-//                             auto-enabled above 200k subject nodes
-//   --no-partition            force the monolithic schedule
 //   --profile[=trace.json]    per-phase timing/counter summary; with a
 //                             path, also write Chrome trace-event JSON
 //                             (chrome://tracing) with per-thread tracks
@@ -109,7 +105,7 @@ struct CliOptions {
   int lib44 = 0;
   std::string mapper = "dag";
   /// Mapping knobs (backend, match class, cuts, rounds, area recovery,
-  /// load rounds, partitioning), checked by validate_map_options.
+  /// load rounds), checked by validate_map_options.
   MapOptions map;
   bool choices = false;
   unsigned choice_gens = kChoiceGenAll;
@@ -142,7 +138,7 @@ struct CliOptions {
                "[--delay-factor X] [--load-rounds N] "
                "[--match standard|extended] "
                "[--supergates[=D]] "
-               "[--threads N] [--partition[=W] | --no-partition] "
+               "[--threads N] "
                "[--profile[=trace.json]] [--area-recovery] "
                "[--buffer N] [--retime] "
                "[--lut K] [--out F] [--no-verify] "
@@ -236,13 +232,6 @@ CliOptions parse_args(int argc, char** argv) {
       o.supergates_set = true;
     }
     else if (a == "--threads") o.threads = next_unsigned("--threads");
-    else if (a == "--partition") o.map.partition_mode = PartitionMode::On;
-    else if (a.rfind("--partition=", 0) == 0) {
-      o.map.partition_mode = PartitionMode::On;
-      o.map.partition_window = suffix_unsigned("--partition");
-      if (o.map.partition_window == 0) usage("zero --partition= window");
-    }
-    else if (a == "--no-partition") o.map.partition_mode = PartitionMode::Off;
     else if (a == "--profile") o.profile = true;
     else if (a.rfind("--profile=", 0) == 0) {
       o.profile = true;
@@ -289,8 +278,8 @@ CliOptions parse_args(int argc, char** argv) {
   bool dag_flow = o.mapper == "dag" && o.lut_k == 0 && !o.serve;
   if (!dag_flow && knobs != MapOptions{})
     usage("mapping flags (--backend, --match, --cut-size, --cut-count, "
-          "--rounds, --delay-factor, --area-recovery, --load-rounds, "
-          "--partition) apply to the dag/cuts mapping flow");
+          "--rounds, --delay-factor, --area-recovery, --load-rounds) "
+          "apply to the dag/cuts mapping flow");
   if (o.choices && o.mapper != "dag")
     usage("--choices applies to the dag/cuts mapping flows");
   if (o.choices && o.lut_k > 0)
@@ -515,12 +504,6 @@ int main(int argc, char** argv) try {
     std::printf(
         "choices: %zu classes, %zu extra variants, %zu folds won\n",
         result.choice_classes, result.choice_variants, result.choice_wins);
-  if (result.partitioned)
-    std::printf(
-        "partitioned: %zu partitions in %zu waves, %zu boundary edges, "
-        "largest %zu nodes\n",
-        result.num_partitions, result.partition_waves,
-        result.partition_boundary_edges, result.partition_max_nodes);
   std::printf("%s mapping: delay %.3f, area %.1f, %zu gates (%.2fs)\n",
               mopt.source == CandidateSource::Cuts ? "cuts"
                                                    : opt.mapper.c_str(),

@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -51,7 +52,7 @@ double phase_seconds(const obs::ProfileData& profile, const char* name) {
 
 struct Cell {
   std::vector<double> wall;
-  double label_min = 0.0;
+  double label_min = std::numeric_limits<double>::infinity();
   std::string phases;  ///< of the fastest run
 };
 
@@ -94,10 +95,9 @@ std::string sweep(const char* name, const Network& subject,
       }
       Cell& c = cells[t];
       double label = phase_seconds(res.profile, "label");
-      if (c.wall.empty() || wall < *std::min_element(c.wall.begin(),
-                                                     c.wall.end()))
+      if (c.wall.empty() || wall < *std::ranges::min_element(c.wall))
         c.phases = bench::phases_json(res.profile);
-      if (c.wall.empty() || label < c.label_min) c.label_min = label;
+      c.label_min = std::min(c.label_min, label);
       c.wall.push_back(wall);
       std::fprintf(stderr,
                    "bench_pipeline: %s %ut rep %u: %.3fs (label %.3fs)\n",

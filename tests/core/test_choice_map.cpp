@@ -302,6 +302,27 @@ TEST(ChoiceMap, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ChoiceMap, WideChoiceSubjectBitIdenticalAcrossThreadCounts) {
+  // A multiplier's choice subject: wider depth waves than alu(4)'s, so
+  // more choice-class members are labeled in the same wave.
+  GateLibrary lib = make_lib2_library();
+  ChoiceDecomposition c = tech_decompose_choices(make_array_multiplier(6));
+  c.validate();
+
+  DagMapOptions base;
+  base.choices = &c.classes;
+  MapResult r1 = dag_map(c.subject, lib, base);
+  const std::string blif1 = write_mapped_blif(r1.netlist);
+  for (unsigned threads : {2u, 4u}) {
+    DagMapOptions o = base;
+    o.num_threads = threads;
+    MapResult r = dag_map(c.subject, lib, o);
+    EXPECT_EQ(r.label, r1.label) << threads << " threads";
+    EXPECT_EQ(r.optimal_delay, r1.optimal_delay) << threads << " threads";
+    EXPECT_EQ(write_mapped_blif(r.netlist), blif1) << threads << " threads";
+  }
+}
+
 TEST(ChoiceMap, InertAnnotationIsBitIdenticalToNull) {
   // The choices-off determinism contract on the golden corpus: a
   // finalized but class-free annotation must take the historical code

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <fstream>
+#include <initializer_list>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -102,11 +103,13 @@ TEST(ThreadPool, ResolveNumThreads) {
 // ---- dag_map thread-count invariance ------------------------------------
 
 void expect_identical_maps(const Network& subject, const GateLibrary& lib,
-                           DagMapOptions base) {
+                           DagMapOptions base,
+                           std::initializer_list<unsigned> thread_counts = {
+                               2u, 4u, 8u}) {
   base.num_threads = 1;
   MapResult seq = dag_map(subject, lib, base);
   const std::string seq_blif = write_mapped_blif(seq.netlist);
-  for (unsigned threads : {2u, 4u, 8u}) {
+  for (unsigned threads : thread_counts) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
     DagMapOptions o = base;
     o.num_threads = threads;
@@ -135,6 +138,24 @@ TEST(ParallelDagMap, DeterministicAcrossThreadCountsOnSuite) {
     Network subject = tech_decompose(bc.network);
     expect_identical_maps(subject, lib, {});
   }
+}
+
+TEST(ParallelDagMap, DeterministicAcrossOddWorkerCountsOnSuite) {
+  // The chunk size is derived from a wave's width and the worker count,
+  // so 3, 5 and 6 workers cut every wave at other chunk boundaries than
+  // the power-of-two counts above.
+  GateLibrary lib = make_lib2_library();
+  for (const BenchmarkCircuit& bc : make_small_suite()) {
+    SCOPED_TRACE(bc.name);
+    expect_identical_maps(tech_decompose(bc.network), lib, {}, {3u, 5u, 6u});
+  }
+}
+
+TEST(ParallelDagMap, DeterministicAcrossThreadCountsOnRandomSubjectGraph) {
+  // Unstructured reconvergence; BLIF bytes are compared, which the 100k
+  // scale test leaves to its structural hash.
+  Network subject = make_random_subject_graph(2000, 24, 8, 0xBEEF);
+  expect_identical_maps(subject, make_lib2_library(), {});
 }
 
 TEST(ParallelDagMap, DeterministicAcrossThreadCountsOnReconvergentDiamonds) {
@@ -234,6 +255,19 @@ TEST(ParallelDagMap, DeterministicWithExtendedMatchesAndAreaRecovery) {
   DagMapOptions o;
   o.match_class = MatchClass::Extended;
   expect_identical_maps(subject, lib, o);
+  DagMapOptions ar;
+  ar.area_recovery = true;
+  expect_identical_maps(subject, lib, ar);
+}
+
+TEST(ParallelDagMap, DeterministicWithExtendedMatchesAndAreaRecoveryOnRichLibrary) {
+  // The same two options on 44-2, whose larger gates give each node many
+  // more candidate matches to tie-break than lib2 does.
+  GateLibrary lib = make_44_library(2);
+  Network subject = tech_decompose(make_alu(6));
+  DagMapOptions ext;
+  ext.match_class = MatchClass::Extended;
+  expect_identical_maps(subject, lib, ext);
   DagMapOptions ar;
   ar.area_recovery = true;
   expect_identical_maps(subject, lib, ar);

@@ -14,10 +14,13 @@
 // the thread counts so host noise spreads over all of them; the cell
 // records the minimum and median wall time, the minimum `label` phase,
 // and the phases of its fastest run (`bench::phases_json`).  Every run
-// must be bit-identical to the subject's first 1-thread run (labels,
-// delay, netlist structural hash — the determinism contract).  One JSON
-// object goes to the output file and stdout, stamped with the build
-// (`bench::build_meta_json`).
+// then writes its netlist as mapped BLIF (`write_mapped_blif`, the
+// `write` stage of an end-to-end job, outside the mapping wall time);
+// the subject records the fastest write, the BLIF byte count and its
+// FNV-1a.  Every run must be bit-identical to the subject's first
+// 1-thread run (labels, delay, netlist structural hash, BLIF bytes —
+// the determinism contract).  One JSON object goes to the output file
+// and stdout, stamped with the build (`bench::build_meta_json`).
 //
 // Exits nonzero only on a determinism violation, never on timing.
 //
@@ -36,7 +39,9 @@
 #include "core/dag_mapper.hpp"
 #include "decomp/tech_decomp.hpp"
 #include "gen/circuits.hpp"
+#include "libcache/binio.hpp"
 #include "library/standard_libs.hpp"
+#include "mapnet/write.hpp"
 
 using namespace dagmap;
 
@@ -63,8 +68,9 @@ std::string sweep(const char* name, const Network& subject,
   std::vector<Cell> cells(std::size(kThreads));
   std::vector<double> ref_label;
   double ref_delay = 0.0, ref_area = 0.0;
-  std::uint64_t ref_hash = 0, waves = 0;
-  std::size_t ref_gates = 0;
+  double write_min = std::numeric_limits<double>::infinity();
+  std::uint64_t ref_hash = 0, ref_blif_hash = 0, waves = 0;
+  std::size_t ref_gates = 0, ref_blif_bytes = 0;
   for (unsigned r = 0; r < reps; ++r) {
     for (std::size_t t = 0; t < std::size(kThreads); ++t) {
       MapOptions o;
@@ -76,17 +82,27 @@ std::string sweep(const char* name, const Network& subject,
                         std::chrono::steady_clock::now() - t0)
                         .count();
       std::uint64_t hash = res.netlist.structural_hash();
+      auto w0 = std::chrono::steady_clock::now();
+      std::string blif = write_mapped_blif(res.netlist);
+      double write = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - w0)
+                         .count();
+      write_min = std::min(write_min, write);
+      std::uint64_t blif_hash = libcache::fnv1a64(blif);
       if (ref_label.empty()) {
         ref_label = std::move(res.label);
         ref_delay = res.optimal_delay;
         ref_area = res.netlist.total_area();
         ref_hash = hash;
+        ref_blif_hash = blif_hash;
+        ref_blif_bytes = blif.size();
         ref_gates = res.netlist.num_gates();
         waves = res.profile.counters.count("label.waves")
                     ? res.profile.counters.at("label.waves")
                     : 0;
       } else if (res.label != ref_label || res.optimal_delay != ref_delay ||
-                 hash != ref_hash) {
+                 hash != ref_hash || blif_hash != ref_blif_hash ||
+                 blif.size() != ref_blif_bytes) {
         std::fprintf(stderr,
                      "bench_pipeline: DETERMINISM VIOLATION — %s at %u "
                      "threads differs from 1 thread\n",
@@ -100,8 +116,9 @@ std::string sweep(const char* name, const Network& subject,
       c.label_min = std::min(c.label_min, label);
       c.wall.push_back(wall);
       std::fprintf(stderr,
-                   "bench_pipeline: %s %ut rep %u: %.3fs (label %.3fs)\n",
-                   name, kThreads[t], r, wall, label);
+                   "bench_pipeline: %s %ut rep %u: %.3fs (label %.3fs, "
+                   "write %.3fs)\n",
+                   name, kThreads[t], r, wall, label, write);
     }
   }
 
@@ -109,10 +126,14 @@ std::string sweep(const char* name, const Network& subject,
   std::snprintf(buf, sizeof buf,
                 "{\"name\": \"%s\", \"internal_nodes\": %zu, \"waves\": %llu, "
                 "\"delay\": %.6f, \"area\": %.1f, \"gates\": %zu, "
-                "\"netlist_hash\": \"%016llx\", \"threads\": [",
+                "\"netlist_hash\": \"%016llx\", \"blif_bytes\": %zu, "
+                "\"blif_fnv1a\": \"%016llx\", \"write_s_min\": %.3f, "
+                "\"threads\": [",
                 name, subject.num_internal(),
                 static_cast<unsigned long long>(waves), ref_delay, ref_area,
-                ref_gates, static_cast<unsigned long long>(ref_hash));
+                ref_gates, static_cast<unsigned long long>(ref_hash),
+                ref_blif_bytes, static_cast<unsigned long long>(ref_blif_hash),
+                write_min);
   std::string json = buf;
   for (std::size_t t = 0; t < cells.size(); ++t) {
     std::vector<double> w = cells[t].wall;

@@ -234,7 +234,7 @@ MapResult bool_map(const Network& subject, const GateLibrary& lib,
       bool neg = (m.rel.input_negate >> pin) & 1u;
       fanins.push_back(neg ? negated(leaf) : inst_of[leaf]);
     }
-    InstId g = out.add_gate(m.gate, std::move(fanins), subject.name(n));
+    InstId g = out.add_gate(m.gate, fanins, subject.name(n));
     inst_of[n] = m.rel.output_negate ? out.add_gate(inv_gate, {g}) : g;
   }
 

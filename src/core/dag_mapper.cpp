@@ -155,8 +155,10 @@ MapResult map(const Network& subject, const GateLibrary& lib,
   if (use_cuts) obs::counter_add("cutmap.npn_gates", npn->num_entries());
 
   // Per-node state, the depth-wavefront schedule and the worker pool,
-  // timed as one phase.
+  // timed as one phase; the trace splits it into `schedule.state` and
+  // `schedule.levels`.
   std::optional<obs::Scope> schedule_scope(std::in_place, "schedule");
+  std::optional<obs::Scope> schedule_part(std::in_place, "schedule.state");
   result.label.assign(subject.size(), 0.0);
 
   // Choice-aware leaf pricing (core/choice_pricing.hpp): constructed
@@ -178,6 +180,7 @@ MapResult map(const Network& subject, const GateLibrary& lib,
   }
   std::vector<std::optional<Match>> fastest(subject.size());
 
+  schedule_part.emplace("schedule.levels");
   const auto& order = subject.topo_order();
   const auto& fanout = subject.fanout_counts();
   PriorityCutParams cut_params{options.cuts.size, options.cuts.count};
@@ -205,6 +208,7 @@ MapResult map(const Network& subject, const GateLibrary& lib,
     for (NodeId n : order)
       if (!subject.is_source(n)) waves[level[n]].push_back(n);
   }
+  schedule_part.reset();
 
   unsigned num_threads = resolve_num_threads(options.num_threads);
   ThreadPool pool(num_threads);

@@ -94,6 +94,7 @@ BufferResult buffer_fanouts(const MappedNetlist& net, const GateLibrary& lib,
     }
   };
 
+  std::vector<InstId> fanins;
   for (InstId id : net.topo_order()) {
     switch (net.kind(id)) {
       case Instance::Kind::PrimaryInput:
@@ -106,15 +107,13 @@ BufferResult buffer_fanouts(const MappedNetlist& net, const GateLibrary& lib,
         break;
       case Instance::Kind::GateInst: {
         std::span<const InstId> fi = net.fanins(id);
-        std::vector<InstId> fanins;
-        fanins.reserve(fi.size());
+        fanins.clear();
         for (std::size_t pin = 0; pin < fi.size(); ++pin) {
           auto it = fanin_tap.find({id, pin});
           fanins.push_back(it != fanin_tap.end() ? it->second
                                                  : mapped[fi[pin]]);
         }
-        mapped[id] =
-            out.add_gate(net.gate(id), std::move(fanins), net.name(id));
+        mapped[id] = out.add_gate(net.gate(id), fanins, net.name(id));
         break;
       }
     }

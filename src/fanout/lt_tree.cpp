@@ -209,6 +209,7 @@ LtTreeResult buffer_fanouts_lt_tree(const MappedNetlist& net,
 
   // Copy instances in topological order, realizing chain plans as soon
   // as their driver exists.
+  std::vector<InstId> fanins;
   for (InstId id : net.topo_order()) {
     switch (net.kind(id)) {
       case Instance::Kind::PrimaryInput:
@@ -221,14 +222,13 @@ LtTreeResult buffer_fanouts_lt_tree(const MappedNetlist& net,
         break;
       case Instance::Kind::GateInst: {
         std::span<const InstId> fi = net.fanins(id);
-        std::vector<InstId> fanins;
+        fanins.clear();
         for (std::size_t pin = 0; pin < fi.size(); ++pin) {
           auto it = fanin_tap.find({id, pin});
           fanins.push_back(it != fanin_tap.end() ? it->second
                                                  : mapped[fi[pin]]);
         }
-        mapped[id] =
-            out.add_gate(net.gate(id), std::move(fanins), net.name(id));
+        mapped[id] = out.add_gate(net.gate(id), fanins, net.name(id));
         break;
       }
     }

@@ -105,7 +105,8 @@ InstId MappedNetlist::add_constant(bool value) {
       {});
 }
 
-InstId MappedNetlist::add_gate(const Gate* gate, std::vector<InstId> fanins,
+InstId MappedNetlist::add_gate(const Gate* gate,
+                               std::span<const InstId> fanins,
                                std::string name) {
   DAGMAP_ASSERT(gate != nullptr);
   DAGMAP_ASSERT_MSG(fanins.size() == gate->num_inputs(),

@@ -1,10 +1,15 @@
 #include "mapnet/write.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <deque>
 #include <fstream>
+#include <iterator>
 #include <span>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "io/expr.hpp"
 #include "netlist/assert.hpp"
@@ -13,48 +18,133 @@ namespace dagmap {
 
 namespace {
 
-// Stable printable net names: named sources keep their names, everything
-// else becomes n<id>; duplicates get an _<id> suffix.
-std::vector<std::string> net_names(const MappedNetlist& net) {
-  std::vector<std::string> names(net.size());
-  std::unordered_map<std::string, int> used;
-  for (InstId id = 0; id < net.size(); ++id) {
-    const std::string& given = net.name(id);
-    std::string base = given.empty() ? "n" + std::to_string(id) : given;
-    if (used.count(base)) base += "_" + std::to_string(id);
-    used[base] = 1;
-    names[id] = base;
-  }
-  return names;
+/// Appends `name` as a Verilog identifier: every character outside
+/// [A-Za-z0-9_] becomes `_`, and a leading digit (or an empty name) gets
+/// a `_` prefix.
+void append_sanitized(std::string& out, std::string_view name) {
+  if (name.empty() || std::isdigit(static_cast<unsigned char>(name[0])))
+    out += '_';
+  for (char c : name)
+    out += std::isalnum(static_cast<unsigned char>(c)) || c == '_' ? c : '_';
 }
 
-std::string sanitize_identifier(const std::string& name) {
-  std::string out;
-  for (char c : name) {
-    if (std::isalnum(static_cast<unsigned char>(c)) || c == '_')
-      out += c;
-    else
-      out += '_';
-  }
-  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0])))
-    out = "_" + out;
-  return out;
+void append_id(std::string& out, InstId id) {
+  char buf[16];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, id).ptr);
 }
+
+// The printable net names of write.hpp's rule.  A final name that is the
+// plain `n<id>` is never materialized: its entry stays empty and the
+// name is formatted on output.  Given and suffixed names go into one
+// small hash set; plain names need none.  A plain `n<id>` can collide
+// only with an earlier given name spelled `n<id>` (a suffixed name
+// contains `_`, and every other generated name has another id), so a
+// kept given name `n<k>` marks a later k as claimed.  A given name
+// `n<k>` collides with an earlier unnamed k, whichever name k kept.
+class NetNames {
+ public:
+  explicit NetNames(const MappedNetlist& net) : names_(net.size()) {
+    std::unordered_set<std::string_view> used;  // given and suffixed
+    std::vector<bool> claimed(net.size(), false);
+    for (InstId id = 0; id < net.size(); ++id) {
+      const std::string& given = net.name(id);
+      if (given.empty()) {
+        if (!claimed[id]) continue;
+        names_[id] = suffixed(Plain(id).view(), id);
+      } else if (InstId k = plain_id(given);
+                 used.contains(given) || (k < id && net.name(k).empty())) {
+        names_[id] = suffixed(given, id);
+      } else {
+        names_[id] = given;
+        if (k > id && k < net.size()) claimed[k] = true;
+      }
+      used.insert(names_[id]);
+    }
+  }
+
+  void append(std::string& out, InstId id) const {
+    if (names_[id].empty())
+      out += Plain(id).view();
+    else
+      out += names_[id];
+  }
+
+  /// The name as a Verilog identifier (a plain `n<id>` already is one).
+  void append_identifier(std::string& out, InstId id) const {
+    if (names_[id].empty())
+      out += Plain(id).view();
+    else
+      append_sanitized(out, names_[id]);
+  }
+
+  bool equals(InstId id, std::string_view s) const {
+    return names_[id].empty() ? Plain(id).view() == s : names_[id] == s;
+  }
+
+ private:
+  /// `n<id>` formatted on the stack.
+  class Plain {
+   public:
+    explicit Plain(InstId id) {
+      buf_[0] = 'n';
+      size_ = static_cast<std::size_t>(
+          std::to_chars(buf_ + 1, buf_ + sizeof buf_, id).ptr - buf_);
+    }
+    std::string_view view() const { return {buf_, size_}; }
+
+   private:
+    char buf_[16];
+    std::size_t size_;
+  };
+
+  /// k when `name` spells `n<k>` (no leading zero), else kNullInst.
+  static InstId plain_id(std::string_view name) {
+    if (name.size() < 2 || name[0] != 'n' ||
+        (name[1] == '0' && name.size() > 2))
+      return kNullInst;
+    InstId k = kNullInst;
+    auto [end, ec] =
+        std::from_chars(name.data() + 1, name.data() + name.size(), k);
+    return ec == std::errc() && end == name.data() + name.size() ? k
+                                                                 : kNullInst;
+  }
+
+  std::string_view suffixed(std::string_view base, InstId id) {
+    std::string& s = suffixed_.emplace_back(base);
+    s += '_';
+    append_id(s, id);
+    return s;
+  }
+
+  std::vector<std::string_view> names_;  // empty: the plain n<id>
+  std::deque<std::string> suffixed_;     // storage of the suffixed names
+};
 
 }  // namespace
 
 std::string write_mapped_blif(const MappedNetlist& net) {
-  std::ostringstream out;
-  auto names = net_names(net);
-  out << ".model " << (net.name().empty() ? "mapped" : net.name()) << "\n";
-  out << ".inputs";
-  for (InstId pi : net.inputs()) out << " " << names[pi];
-  out << "\n.outputs";
-  for (const Output& o : net.outputs()) out << " " << o.name;
-  out << "\n";
-  for (InstId l : net.latches())
-    out << ".latch " << names[net.fanins(l)[0]] << " " << names[l]
-        << " 0\n";
+  NetNames names(net);
+  std::string out;
+  out += ".model ";
+  out += net.name().empty() ? std::string_view("mapped") : net.name();
+  out += "\n.inputs";
+  for (InstId pi : net.inputs()) {
+    out += ' ';
+    names.append(out, pi);
+  }
+  out += "\n.outputs";
+  for (const Output& o : net.outputs()) {
+    out += ' ';
+    out += o.name;
+  }
+  out += '\n';
+  for (InstId l : net.latches()) {
+    out += ".latch ";
+    names.append(out, net.fanins(l)[0]);
+    out += ' ';
+    names.append(out, l);
+    out += " 0\n";
+  }
   // One cached order serves both this writer and the verilog writer:
   // `topo_order()` is memoized on the netlist, so back-to-back report
   // writers traverse without recomputing.
@@ -63,55 +153,77 @@ std::string write_mapped_blif(const MappedNetlist& net) {
       case Instance::Kind::GateInst: {
         const Gate* g = net.gate(id);
         std::span<const InstId> fi = net.fanins(id);
-        out << ".gate " << g->name;
-        for (std::size_t pin = 0; pin < fi.size(); ++pin)
-          out << " " << g->pins[pin].name << "=" << names[fi[pin]];
-        out << " O=" << names[id] << "\n";
+        out += ".gate ";
+        out += g->name;
+        for (std::size_t pin = 0; pin < fi.size(); ++pin) {
+          out += ' ';
+          out += g->pins[pin].name;
+          out += '=';
+          names.append(out, fi[pin]);
+        }
+        out += " O=";
+        names.append(out, id);
+        out += '\n';
         break;
       }
       case Instance::Kind::Const0:
-        out << ".names " << names[id] << "\n";
-        break;
       case Instance::Kind::Const1:
-        out << ".names " << names[id] << "\n1\n";
+        out += ".names ";
+        names.append(out, id);
+        out += net.kind(id) == Instance::Kind::Const1 ? "\n1\n" : "\n";
         break;
       default:
         break;
     }
   }
-  for (const Output& o : net.outputs())
-    if (names[o.node] != o.name)
-      out << ".names " << names[o.node] << " " << o.name << "\n1 1\n";
-  out << ".end\n";
-  return out.str();
+  for (const Output& o : net.outputs()) {
+    if (names.equals(o.node, o.name)) continue;
+    out += ".names ";
+    names.append(out, o.node);
+    out += ' ';
+    out += o.name;
+    out += "\n1 1\n";
+  }
+  out += ".end\n";
+  return out;
 }
 
 std::string write_mapped_verilog(const MappedNetlist& net) {
-  std::ostringstream out;
-  auto raw = net_names(net);
-  std::vector<std::string> names(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i)
-    names[i] = sanitize_identifier(raw[i]);
-
-  std::string module = sanitize_identifier(
-      net.name().empty() ? "mapped" : net.name());
-  out << "// Generated by dagmap; gate delays/areas per the source GENLIB.\n";
-  out << "module " << module << " (";
+  NetNames names(net);
+  std::string out;
+  out += "// Generated by dagmap; gate delays/areas per the source GENLIB.\n";
+  out += "module ";
+  append_sanitized(out, net.name().empty() ? std::string_view("mapped")
+                                           : net.name());
+  out += " (";
   bool first = true;
   for (InstId pi : net.inputs()) {
-    out << (first ? "" : ", ") << names[pi];
+    if (!first) out += ", ";
+    names.append_identifier(out, pi);
     first = false;
   }
-  for (const Output& o : net.outputs())
-    out << (first ? "" : ", ") << sanitize_identifier(o.name), first = false;
-  out << ");\n";
-  for (InstId pi : net.inputs()) out << "  input " << names[pi] << ";\n";
-  for (const Output& o : net.outputs())
-    out << "  output " << sanitize_identifier(o.name) << ";\n";
+  for (const Output& o : net.outputs()) {
+    if (!first) out += ", ";
+    append_sanitized(out, o.name);
+    first = false;
+  }
+  out += ");\n";
+  for (InstId pi : net.inputs()) {
+    out += "  input ";
+    names.append_identifier(out, pi);
+    out += ";\n";
+  }
+  for (const Output& o : net.outputs()) {
+    out += "  output ";
+    append_sanitized(out, o.name);
+    out += ";\n";
+  }
 
   for (InstId id = 0; id < net.size(); ++id) {
-    if (net.kind(id) != Instance::Kind::PrimaryInput)
-      out << "  wire " << names[id] << ";\n";
+    if (net.kind(id) == Instance::Kind::PrimaryInput) continue;
+    out += "  wire ";
+    names.append_identifier(out, id);
+    out += ";\n";
   }
 
   for (InstId id : net.topo_order()) {
@@ -119,32 +231,52 @@ std::string write_mapped_verilog(const MappedNetlist& net) {
       case Instance::Kind::GateInst: {
         const Gate* g = net.gate(id);
         std::span<const InstId> fi = net.fanins(id);
-        out << "  " << sanitize_identifier(g->name) << " g" << id << " (";
-        for (std::size_t pin = 0; pin < fi.size(); ++pin)
-          out << "." << sanitize_identifier(g->pins[pin].name) << "("
-              << names[fi[pin]] << "), ";
-        out << ".O(" << names[id] << "));\n";
+        out += "  ";
+        append_sanitized(out, g->name);
+        out += " g";
+        append_id(out, id);
+        out += " (";
+        for (std::size_t pin = 0; pin < fi.size(); ++pin) {
+          out += '.';
+          append_sanitized(out, g->pins[pin].name);
+          out += '(';
+          names.append_identifier(out, fi[pin]);
+          out += "), ";
+        }
+        out += ".O(";
+        names.append_identifier(out, id);
+        out += "));\n";
         break;
       }
       case Instance::Kind::Const0:
-        out << "  assign " << names[id] << " = 1'b0;\n";
-        break;
       case Instance::Kind::Const1:
-        out << "  assign " << names[id] << " = 1'b1;\n";
+        out += "  assign ";
+        names.append_identifier(out, id);
+        out += net.kind(id) == Instance::Kind::Const1 ? " = 1'b1;\n"
+                                                       : " = 1'b0;\n";
         break;
       case Instance::Kind::Latch:
-        out << "  dff r" << id << " (.D(" << names[net.fanins(id)[0]]
-            << "), .Q(" << names[id] << "));\n";
+        out += "  dff r";
+        append_id(out, id);
+        out += " (.D(";
+        names.append_identifier(out, net.fanins(id)[0]);
+        out += "), .Q(";
+        names.append_identifier(out, id);
+        out += "));\n";
         break;
       case Instance::Kind::PrimaryInput:
         break;
     }
   }
-  for (const Output& o : net.outputs())
-    out << "  assign " << sanitize_identifier(o.name) << " = "
-        << names[o.node] << ";\n";
-  out << "endmodule\n";
-  return out.str();
+  for (const Output& o : net.outputs()) {
+    out += "  assign ";
+    append_sanitized(out, o.name);
+    out += " = ";
+    names.append_identifier(out, o.node);
+    out += ";\n";
+  }
+  out += "endmodule\n";
+  return out;
 }
 
 void write_mapped_file(const MappedNetlist& net, const std::string& path) {
@@ -196,20 +328,35 @@ MappedNetlist parse_mapped_blif(const std::string& text,
   for (const Gate& g : lib.gates()) gate_by_name[g.name] = &g;
 
   MappedNetlist net;
-  std::unordered_map<std::string, InstId> by_name;
+  // Net names are interned to dense ids as lines are read; `driver[id]`
+  // is the instance the name resolves to (the first definition wins).
+  constexpr std::uint32_t kNoName = 0xFFFFFFFFu;
+  std::unordered_map<std::string, std::uint32_t> name_ids;
+  std::vector<const std::string*> net_name;
+  std::vector<InstId> driver;
+  auto intern = [&](const std::string& s) {
+    auto [it, fresh] =
+        name_ids.try_emplace(s, static_cast<std::uint32_t>(driver.size()));
+    if (fresh) {
+      driver.push_back(kNullInst);
+      net_name.push_back(&it->first);
+    }
+    return it->second;
+  };
+  auto define = [&](std::uint32_t id, InstId inst) {
+    if (driver[id] == kNullInst) driver[id] = inst;
+  };
 
-  struct PendingGate {
+  // A gate, or (null `gate`) an identity alias of its one fanin.
+  struct Pending {
     const Gate* gate;
-    std::vector<std::string> fanin_names;  // pin order
-    std::string output_name;
+    std::vector<std::uint32_t> fanins;  // pin order
+    std::uint32_t output;
   };
-  struct PendingAlias {
-    std::string src, dst;
-  };
-  std::vector<PendingGate> gates;
-  std::vector<PendingAlias> aliases;
-  std::vector<std::pair<std::string, std::string>> latches;  // d, q
-  std::vector<std::string> output_names;
+  std::vector<Pending> pending;  // gates, then aliases
+  std::vector<Pending> aliases;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> latches;  // d, q
+  std::vector<std::uint32_t> output_names;
 
   auto lines = mapped_blif_lines(text);
   for (std::size_t li = 0; li < lines.size(); ++li) {
@@ -219,44 +366,44 @@ MappedNetlist parse_mapped_blif(const std::string& text,
       if (toks.size() > 1) net = MappedNetlist(toks[1]);
     } else if (kw == ".inputs") {
       for (std::size_t i = 1; i < toks.size(); ++i)
-        by_name.emplace(toks[i], net.add_input(toks[i]));
+        define(intern(toks[i]), net.add_input(toks[i]));
     } else if (kw == ".outputs") {
       for (std::size_t i = 1; i < toks.size(); ++i)
-        output_names.push_back(toks[i]);
+        output_names.push_back(intern(toks[i]));
     } else if (kw == ".latch") {
       if (toks.size() < 3) throw ParseError(".latch needs input and output");
-      latches.emplace_back(toks[1], toks[2]);
+      latches.emplace_back(intern(toks[1]), intern(toks[2]));
     } else if (kw == ".gate") {
       if (toks.size() < 3) throw ParseError("malformed .gate");
       auto it = gate_by_name.find(toks[1]);
       if (it == gate_by_name.end())
         throw ParseError("unknown cell " + toks[1]);
-      PendingGate pg;
-      pg.gate = it->second;
-      pg.fanin_names.resize(pg.gate->num_inputs());
+      Pending pg{it->second, {}, kNoName};
+      pg.fanins.assign(pg.gate->num_inputs(), kNoName);
       for (std::size_t i = 2; i < toks.size(); ++i) {
         auto eq = toks[i].find('=');
         if (eq == std::string::npos)
           throw ParseError("malformed .gate connection " + toks[i]);
         std::string pin = toks[i].substr(0, eq);
         std::string netname = toks[i].substr(eq + 1);
+        std::uint32_t id = netname.empty() ? kNoName : intern(netname);
         if (pin == "O" || pin == pg.gate->name + "_O") {
-          pg.output_name = netname;
+          pg.output = id;
           continue;
         }
         bool found = false;
         for (unsigned p = 0; p < pg.gate->num_inputs(); ++p)
           if (pg.gate->pins[p].name == pin) {
-            pg.fanin_names[p] = netname;
+            pg.fanins[p] = id;
             found = true;
           }
         if (!found) throw ParseError("unknown pin " + pin + " on " + toks[1]);
       }
-      if (pg.output_name.empty())
+      if (pg.output == kNoName)
         throw ParseError(".gate without output connection");
-      for (const std::string& f : pg.fanin_names)
-        if (f.empty()) throw ParseError("unconnected pin on " + toks[1]);
-      gates.push_back(std::move(pg));
+      for (std::uint32_t f : pg.fanins)
+        if (f == kNoName) throw ParseError("unconnected pin on " + toks[1]);
+      pending.push_back(std::move(pg));
     } else if (kw == ".names") {
       // Accept only the writer's degenerate forms: constants and the
       // single-input identity alias.
@@ -264,13 +411,13 @@ MappedNetlist parse_mapped_blif(const std::string& text,
         // Constant: value determined by the (optional) next cover row.
         bool value = li + 1 < lines.size() && lines[li + 1].size() == 1 &&
                      lines[li + 1][0] == "1";
-        by_name.emplace(toks[1], net.add_constant(value));
+        define(intern(toks[1]), net.add_constant(value));
         if (value) ++li;  // consume the row
       } else if (toks.size() == 3) {
         if (li + 1 >= lines.size() || lines[li + 1] !=
                                           std::vector<std::string>{"1", "1"})
           throw ParseError("only identity .names are supported in mapped BLIF");
-        aliases.push_back({toks[1], toks[2]});
+        aliases.push_back({nullptr, {intern(toks[1])}, intern(toks[2])});
         ++li;
       } else {
         throw ParseError("unsupported .names in mapped BLIF");
@@ -284,61 +431,68 @@ MappedNetlist parse_mapped_blif(const std::string& text,
     }
   }
 
-  // Pre-create latch outputs, then resolve gates/aliases to a fixpoint
-  // (mapped BLIF is emitted in topological order, but be liberal).
+  // Latch outputs are sources: create them before any gate.
   std::vector<InstId> latch_insts;
-  for (auto& [d, q] : latches) {
-    InstId l = net.add_latch_placeholder(q);
-    by_name.emplace(q, l);
+  for (auto [d, q] : latches) {
+    InstId l = net.add_latch_placeholder(*net_name[q]);
+    define(q, l);
     latch_insts.push_back(l);
   }
+
+  // Resolve gates, then aliases, with a Kahn worklist, in time linear in
+  // the input whatever its line order.  Each item is scanned once, in
+  // file order, and built at once if all its fanins resolve, so
+  // topologically ordered input (everything the writer emits) gets its
+  // instances in line order.  An item with unresolved fanins counts them
+  // and waits on each name; the definition of its last one builds it.
+  const std::size_t num_gates = pending.size();
+  std::move(aliases.begin(), aliases.end(), std::back_inserter(pending));
+  std::vector<std::uint32_t> missing(pending.size(), 0);
+  std::vector<std::vector<std::uint32_t>> waiting(driver.size());
+  std::vector<std::uint32_t> ready;
+  std::vector<InstId> fanins;
   std::size_t resolved = 0;
-  std::vector<bool> gate_done(gates.size(), false);
-  std::vector<bool> alias_done(aliases.size(), false);
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (std::size_t i = 0; i < gates.size(); ++i) {
-      if (gate_done[i]) continue;
-      PendingGate& pg = gates[i];
-      std::vector<InstId> fanins;
-      bool ready = true;
-      for (const std::string& f : pg.fanin_names) {
-        auto it = by_name.find(f);
-        if (it == by_name.end()) {
-          ready = false;
-          break;
-        }
-        fanins.push_back(it->second);
+  auto build_from = [&](std::uint32_t first) {
+    ready.push_back(first);
+    while (!ready.empty()) {
+      const Pending& p = pending[ready.back()];
+      ready.pop_back();
+      InstId inst;
+      if (p.gate == nullptr) {
+        inst = driver[p.fanins[0]];
+      } else {
+        fanins.clear();
+        for (std::uint32_t f : p.fanins) fanins.push_back(driver[f]);
+        inst = net.add_gate(p.gate, fanins, *net_name[p.output]);
+        ++resolved;
       }
-      if (!ready) continue;
-      by_name.emplace(pg.output_name,
-                      net.add_gate(pg.gate, std::move(fanins), pg.output_name));
-      gate_done[i] = true;
-      ++resolved;
-      progress = true;
+      define(p.output, inst);
+      for (std::uint32_t w : waiting[p.output])
+        if (--missing[w] == 0) ready.push_back(w);
+      std::vector<std::uint32_t>().swap(waiting[p.output]);
     }
-    for (std::size_t i = 0; i < aliases.size(); ++i) {
-      if (alias_done[i]) continue;
-      auto it = by_name.find(aliases[i].src);
-      if (it == by_name.end()) continue;
-      by_name.emplace(aliases[i].dst, it->second);
-      alias_done[i] = true;
-      progress = true;
-    }
+  };
+  for (std::uint32_t i = 0; i < pending.size(); ++i) {
+    for (std::uint32_t f : pending[i].fanins)
+      if (driver[f] == kNullInst) {
+        ++missing[i];
+        waiting[f].push_back(i);
+      }
+    if (missing[i] == 0) build_from(i);
   }
-  if (resolved != gates.size())
+  if (resolved != num_gates)
     throw ParseError("unresolvable nets in mapped BLIF");
   for (std::size_t i = 0; i < latches.size(); ++i) {
-    auto it = by_name.find(latches[i].first);
-    if (it == by_name.end())
-      throw ParseError("unresolvable latch input " + latches[i].first);
-    net.connect_latch(latch_insts[i], it->second);
+    InstId d = driver[latches[i].first];
+    if (d == kNullInst)
+      throw ParseError("unresolvable latch input " +
+                       *net_name[latches[i].first]);
+    net.connect_latch(latch_insts[i], d);
   }
-  for (const std::string& o : output_names) {
-    auto it = by_name.find(o);
-    if (it == by_name.end()) throw ParseError("undefined output " + o);
-    net.add_output(it->second, o);
+  for (std::uint32_t o : output_names) {
+    if (driver[o] == kNullInst)
+      throw ParseError("undefined output " + *net_name[o]);
+    net.add_output(driver[o], *net_name[o]);
   }
   net.check();
   return net;

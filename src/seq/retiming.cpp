@@ -426,7 +426,7 @@ MappedNetlist retime_min_period(const MappedNetlist& net, double* achieved) {
       case Instance::Kind::Const0: mapped[n] = out.add_constant(false); break;
       case Instance::Kind::Const1: mapped[n] = out.add_constant(true); break;
       case Instance::Kind::GateInst:
-        mapped[n] = out.add_gate(net.gate(n), std::move(fanins), net.name(n));
+        mapped[n] = out.add_gate(net.gate(n), fanins, net.name(n));
         break;
       case Instance::Kind::Latch:
         DAGMAP_ASSERT_MSG(false, "latches are not combinational");

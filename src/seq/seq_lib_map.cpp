@@ -404,7 +404,7 @@ SeqLibMapping optimal_period_lib_map_construct(const Network& subject,
         fanins.push_back(through_registers(leaf.node, regs));
       }
     }
-    inst[v] = net.add_gate(m.gate, std::move(fanins), subject.name(v));
+    inst[v] = net.add_gate(m.gate, fanins, subject.name(v));
   }
   for (std::size_t i = 0; i < po_edges.size(); ++i) {
     auto [drv, w] = po_edges[i];

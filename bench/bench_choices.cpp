@@ -110,7 +110,8 @@ int main(int argc, char** argv) try {
       "and combine with it — the ratio must be <= 1.0 on both backends.\n");
 
   std::ostringstream json;
-  json << "{\"bench\":\"choices\",\"library\":\"" << lib.name()
+  json << "{\"bench\":\"choices\",\"meta\":" << bench::build_meta_json()
+       << ",\"library\":\"" << lib.name()
        << "\",\"circuits\":[" << rows.str() << "],"
        << "\"strict_wins\":" << strict_wins
        << ",\"phases\":" << bench::phases_json(last_profile)

@@ -146,7 +146,8 @@ int main(int argc, char** argv) try {
                big_cuts.optimal_delay, cut_seconds);
 
   std::ostringstream json;
-  json << "{\"bench\":\"cutmap\",\"circuits\":[" << rows.str() << "],"
+  json << "{\"bench\":\"cutmap\",\"meta\":" << bench::build_meta_json()
+       << ",\"circuits\":[" << rows.str() << "],"
        << "\"strict_wins\":" << strict_wins
        << ",\"deterministic\":" << (deterministic ? "true" : "false")
        << ",\"scale\":{\"nodes\":" << big.num_internal()

@@ -156,7 +156,8 @@ int main(int argc, char** argv) try {
   if (strict_wins < 1) ok = false;
 
   std::ostringstream json;
-  json << "{\"bench\":\"loadmap\",\"circuits\":[" << rows.str() << "],"
+  json << "{\"bench\":\"loadmap\",\"meta\":" << bench::build_meta_json()
+       << ",\"circuits\":[" << rows.str() << "],"
        << "\"strict_wins\":" << strict_wins
        << ",\"liberty_cells\":" << lib.size()
        << ",\"suite\":[" << suite_rows.str() << "]"

@@ -29,8 +29,8 @@ void ChoicePricing::on_labeled(NodeId n) {
   for (NodeId m : mem) best_[m] = winner;
 }
 
-void ChoicePricing::rewrite(Match& m, NodeId reader) const {
-  for (NodeId& leaf : m.pin_binding) leaf = price_node(reader, leaf);
+void ChoicePricing::rewrite(std::span<NodeId> pins, NodeId reader) const {
+  for (NodeId& leaf : pins) leaf = price_node(reader, leaf);
 }
 
 Network ChoicePricing::redirect_endpoints(const Network& subject) const {

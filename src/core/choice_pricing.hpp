@@ -83,10 +83,12 @@ class ChoicePricing {
   /// n itself when unclassed.
   NodeId best_variant(NodeId n) const { return best_[n]; }
 
-  /// Re-points the match's classed leaves (as priced by `reader`) at the
-  /// class-best variants, making the match self-describing for every
-  /// downstream `label[]`-based pass.
-  void rewrite(Match& m, NodeId reader) const;
+  /// Re-points a selected match's classed pin leaves (as priced by
+  /// `reader`) at the class-best variants, making the selection
+  /// self-describing for every downstream `label[]`-based pass.  The
+  /// mapper runs it on the staged pick (`CoverSelection::staged_pins`)
+  /// before committing it.
+  void rewrite(std::span<NodeId> pins, NodeId reader) const;
 
   /// Copy of `subject` with every PO / latch D input moved from the
   /// class anchor onto the class-best variant.  Cover marking and

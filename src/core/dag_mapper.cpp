@@ -37,25 +37,22 @@ struct Candidate {
   NpnTransform rel;                    ///< NPN only
 };
 
-// Writes a candidate into `m`, the owning Match the cover machinery
-// consumes, reusing m's capacity.  NPN matches: gate pin i reads cut leaf
-// rel.perm[i], negated iff bit i of rel.input_negate (same relation as
-// boolmatch/bool_mapper.cpp).
-void materialize(const Candidate& c, Match& m) {
+// Stages a candidate as `writer`'s pending pick in the selection the
+// cover consumes (overwriting the previous pending pick in place).  NPN
+// matches: gate pin i reads cut leaf rel.perm[i], negated iff bit i of
+// rel.input_negate (same relation as boolmatch/bool_mapper.cpp).
+void stage(const Candidate& c, CoverSelection& sel, unsigned writer) {
   if (!c.is_npn) {
-    m.assign(*c.view);
+    sel.stage(writer, *c.view);
     return;
   }
-  m.gate = c.gate;
-  m.pattern = nullptr;
   unsigned ni = c.gate->num_inputs();
-  m.pin_binding.resize(ni);
+  std::span<NodeId> pins = sel.stage(
+      writer, c.gate, ni, {},
+      static_cast<std::uint8_t>(c.rel.input_negate & ((1u << ni) - 1u)),
+      c.rel.output_negate);
   for (unsigned pin = 0; pin < ni; ++pin)
-    m.pin_binding[pin] = c.cut_leaves[c.rel.perm[pin]];
-  m.covered.clear();
-  m.input_negate =
-      static_cast<std::uint8_t>(c.rel.input_negate & ((1u << ni) - 1u));
-  m.output_negate = c.rel.output_negate;
+    pins[pin] = c.cut_leaves[c.rel.perm[pin]];
 }
 
 std::string out_of_range(const char* what, double value, const char* want) {
@@ -159,7 +156,12 @@ MapResult map(const Network& subject, const GateLibrary& lib,
   // `schedule.levels`.
   std::optional<obs::Scope> schedule_scope(std::in_place, "schedule");
   std::optional<obs::Scope> schedule_part(std::in_place, "schedule.state");
+  unsigned num_threads = resolve_num_threads(options.num_threads);
   result.label.assign(subject.size(), 0.0);
+  // Each node's selected match: written by the labeling workers (one
+  // arena each), re-set by the area rounds' backward pass (writer 0),
+  // read by the cover and the statistics.
+  CoverSelection chosen(subject.size(), num_threads);
 
   // Choice-aware leaf pricing (core/choice_pricing.hpp): constructed
   // only for an active annotation, so the unannotated flow never
@@ -178,7 +180,6 @@ MapResult map(const Network& subject, const GateLibrary& lib,
     node_af.assign(subject.size(), 0.0);
     cuts.resize(subject.size());
   }
-  std::vector<std::optional<Match>> fastest(subject.size());
 
   schedule_part.emplace("schedule.levels");
   const auto& order = subject.topo_order();
@@ -210,7 +211,6 @@ MapResult map(const Network& subject, const GateLibrary& lib,
   }
   schedule_part.reset();
 
-  unsigned num_threads = resolve_num_threads(options.num_threads);
   ThreadPool pool(num_threads);
   struct alignas(64) WorkerState {
     CutScratch scratch;
@@ -220,10 +220,6 @@ MapResult map(const Network& subject, const GateLibrary& lib,
     std::vector<std::int32_t> canon;
     std::vector<NpnTransform> canon_t;
     std::uint64_t enumerated = 0;
-    /// Running best candidate of the node being labeled, overwritten in
-    /// place on every improvement; only the final pick is copied out
-    /// (one `Match` per node).
-    Match best;
   };
   std::vector<WorkerState> workers(num_threads);
   schedule_scope.reset();
@@ -416,26 +412,26 @@ MapResult map(const Network& subject, const GateLibrary& lib,
               best = c.arrival;
               best_area = c.area;
               best_gate = c.gate;
-              materialize(c, w.best);
+              stage(c, chosen, worker);
             }
           });
           DAGMAP_ASSERT_MSG(best_gate != nullptr,
                             "no candidate at an internal subject node");
-          fastest[n] = w.best;
+          // Re-point the pick's classed leaves at the class-best variants
+          // (folded in an earlier wave by the anchor rule), so all
+          // downstream passes price and descend through plain label[]
+          // reads.
+          if (choices) pricing->rewrite(chosen.staged_pins(worker), n);
+          chosen.commit(n, worker);
           result.label[n] = best;
           if (choices) {
-            // Re-point the selected match's classed leaves at the
-            // class-best variants (folded in an earlier wave by the
-            // anchor rule), so all downstream passes price and descend
-            // through plain label[] reads.  Then fold this node's own
-            // class if it is the anchor.
-            pricing->rewrite(*fastest[n], n);
+            // Fold this node's own class if it is the anchor.
             pricing->on_labeled(n);
             if (use_cuts && choices->is_class_anchor(n)) merge_class_cuts(n);
           }
           if (use_cuts) {
             double af = best_area;
-            for (NodeId leaf : fastest[n]->pin_binding)
+            for (NodeId leaf : chosen.at(n).pins)
               if (!subject.is_source(leaf))
                 af += node_af[leaf] / std::max<std::uint32_t>(1, fanout[leaf]);
             node_af[n] = af;
@@ -498,10 +494,6 @@ MapResult map(const Network& subject, const GateLibrary& lib,
     result.optimal_delay =
         std::max(result.optimal_delay, result.label[cnet.fanins(l)[0]]);
 
-  // `fastest` is not read again: hand its matches over instead of
-  // deep-copying one Match (two heap vectors) per node.
-  std::vector<std::optional<Match>> chosen = std::move(fastest);
-
   // ---- area-recovery rounds (abc-zz LutMap's n_rounds/delay_factor) ---
   unsigned rounds = std::max(options.rounds, options.area_recovery ? 2u : 1u);
   // Among candidates of equal area flow, `area_recovery` alone (the §6
@@ -563,7 +555,6 @@ MapResult map(const Network& subject, const GateLibrary& lib,
         double pick_af = kInf, pick_arrival = kInf, pick_area = kInf;
         const Gate* pick_gate = nullptr;
         bool have = false;
-        Match pick;
         for_each_candidate(n, workers[0], [&](const Candidate& c) {
           if (c.arrival > required[n] + kEpsilon) return;
           double af = c.area;
@@ -587,22 +578,23 @@ MapResult map(const Network& subject, const GateLibrary& lib,
             pick_arrival = c.arrival;
             pick_area = c.area;
             pick_gate = c.gate;
-            materialize(c, pick);
+            stage(c, chosen, 0);
           }
         });
         DAGMAP_ASSERT_MSG(have,
                           "required time unreachable during an area round");
-        if (choices) pricing->rewrite(pick, n);
+        if (choices) pricing->rewrite(chosen.staged_pins(0), n);
+        chosen.commit(n, 0);
         ++reselected;
-        for (std::size_t pin = 0; pin < pick.pin_binding.size(); ++pin) {
-          NodeId leaf = pick.pin_binding[pin];
+        const SelectedMatch pick = chosen.at(n);
+        for (std::size_t pin = 0; pin < pick.pins.size(); ++pin) {
+          NodeId leaf = pick.pins[pin];
           double req = required[n] - pick.gate->pins[pin].delay();
           if (pick.output_negate) req -= inv_delay;
           if ((pick.input_negate >> pin) & 1u) req -= inv_delay;
           required[leaf] = std::min(required[leaf], req);
           if (!subject.is_source(leaf)) rneeded[leaf] = 1;
         }
-        chosen[n] = std::move(pick);
       }
       obs::counter_add("rounds.nodes_reselected", reselected);
 
@@ -610,7 +602,7 @@ MapResult map(const Network& subject, const GateLibrary& lib,
         std::fill(refs.begin(), refs.end(), 0);
         for (NodeId n = 0; n < subject.size(); ++n) {
           if (!rneeded[n]) continue;
-          for (NodeId leaf : chosen[n]->pin_binding) ++refs[leaf];
+          for (NodeId leaf : chosen.at(n).pins) ++refs[leaf];
         }
       }
     }
@@ -635,32 +627,33 @@ MapResult map(const Network& subject, const GateLibrary& lib,
   {
     obs::Scope scope("stats");
     std::vector<std::uint32_t> covered_count(subject.size(), 0);
-    std::vector<NodeId> walk;
+    std::vector<NodeId> walk, derived;
     for (NodeId n = 0; n < subject.size(); ++n) {
       if (!needed[n] || subject.is_source(n)) continue;
-      Match& m = *chosen[n];
-      if (m.covered.empty()) {
+      const SelectedMatch m = chosen.at(n);
+      std::span<const NodeId> covered = m.covered;
+      if (covered.empty()) {
         // NPN matches carry no covered list; derive one by walking the
         // cone from the root down to the pin leaves.  Support-reduced
         // cuts can expose structurally large vacuous cones, so the walk
         // is capped — this feeds statistics only, never the cover.
+        derived.clear();
         walk.assign(1, n);
-        while (!walk.empty() && m.covered.size() < 256) {
+        while (!walk.empty() && derived.size() < 256) {
           NodeId u = walk.back();
           walk.pop_back();
-          if (std::find(m.covered.begin(), m.covered.end(), u) !=
-              m.covered.end())
+          if (std::find(derived.begin(), derived.end(), u) != derived.end())
             continue;
-          m.covered.push_back(u);
+          derived.push_back(u);
           for (NodeId f : subject.fanins(u)) {
             if (subject.is_source(f)) continue;
-            if (std::find(m.pin_binding.begin(), m.pin_binding.end(), f) ==
-                m.pin_binding.end())
+            if (std::find(m.pins.begin(), m.pins.end(), f) == m.pins.end())
               walk.push_back(f);
           }
         }
+        covered = derived;
       }
-      for (NodeId c : m.covered) ++covered_count[c];
+      for (NodeId c : covered) ++covered_count[c];
     }
     for (NodeId n = 0; n < subject.size(); ++n) {
       if (covered_count[n] == 0) continue;

@@ -1,5 +1,8 @@
 #include "mapnet/cover.hpp"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "netlist/assert.hpp"
 #include "obs/obs.hpp"
 
@@ -18,14 +21,69 @@ bool marks_as_needed(const Network& subject, NodeId n) {
 
 }  // namespace
 
-std::vector<std::uint8_t> mark_cover(
-    const Network& subject, std::span<const std::optional<Match>> chosen) {
+CoverSelection::CoverSelection(std::size_t num_nodes, unsigned num_writers)
+    : records_(num_nodes), arenas_(std::max(1u, num_writers)) {
+  DAGMAP_ASSERT(arenas_.size() <= UINT16_MAX);
+}
+
+SelectedMatch CoverSelection::at(NodeId n) const {
+  const Record& r = records_[n];
+  DAGMAP_ASSERT(r.gate != nullptr);
+  const NodeId* base = arenas_[r.writer].ids.data() + r.offset;
+  return {r.gate,
+          {base, r.num_pins},
+          {base + r.num_pins, r.num_covered},
+          r.input_negate,
+          r.output_negate};
+}
+
+std::span<NodeId> CoverSelection::stage(unsigned writer, const Gate* gate,
+                                        std::size_t num_pins,
+                                        std::span<const NodeId> covered,
+                                        std::uint8_t input_negate,
+                                        bool output_negate) {
+  Arena& a = arenas_[writer];
+  DAGMAP_ASSERT(gate != nullptr && num_pins <= UINT16_MAX &&
+                a.committed + num_pins + covered.size() <= UINT32_MAX);
+  a.ids.resize(a.committed + num_pins);
+  a.ids.insert(a.ids.end(), covered.begin(), covered.end());
+  a.staged = {gate,
+              static_cast<std::uint32_t>(a.committed),
+              static_cast<std::uint32_t>(covered.size()),
+              static_cast<std::uint16_t>(writer),
+              static_cast<std::uint16_t>(num_pins),
+              input_negate,
+              output_negate};
+  return {a.ids.data() + a.committed, num_pins};
+}
+
+void CoverSelection::stage(unsigned writer, const MatchView& m) {
+  std::span<NodeId> pins =
+      stage(writer, m.gate, m.pin_binding.size(), m.covered);
+  std::copy(m.pin_binding.begin(), m.pin_binding.end(), pins.begin());
+}
+
+std::span<NodeId> CoverSelection::staged_pins(unsigned writer) {
+  Arena& a = arenas_[writer];
+  return {a.ids.data() + a.committed, a.staged.num_pins};
+}
+
+void CoverSelection::commit(NodeId n, unsigned writer) {
+  Arena& a = arenas_[writer];
+  DAGMAP_ASSERT_MSG(a.staged.gate != nullptr, "commit without a staged pick");
+  records_[n] = a.staged;
+  a.committed = a.ids.size();
+  a.staged.gate = nullptr;
+}
+
+std::vector<std::uint8_t> mark_cover(const Network& subject,
+                                     const CoverSelection& chosen) {
   return mark_cover(subject, chosen, subject.topo_order());
 }
 
-std::vector<std::uint8_t> mark_cover(
-    const Network& subject, std::span<const std::optional<Match>> chosen,
-    std::span<const NodeId> order) {
+std::vector<std::uint8_t> mark_cover(const Network& subject,
+                                     const CoverSelection& chosen,
+                                     std::span<const NodeId> order) {
   DAGMAP_ASSERT(chosen.size() == subject.size());
   DAGMAP_ASSERT(order.size() == subject.size());
   std::vector<std::uint8_t> needed(subject.size(), 0);
@@ -41,15 +99,14 @@ std::vector<std::uint8_t> mark_cover(
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     NodeId n = *it;
     if (!needed[n] || subject.is_source(n)) continue;
-    DAGMAP_ASSERT_MSG(chosen[n].has_value(),
+    DAGMAP_ASSERT_MSG(chosen.has(n),
                       "needed subject node has no selected match");
-    for (NodeId leaf : chosen[n]->pin_binding) touch(leaf);
+    for (NodeId leaf : chosen.at(n).pins) touch(leaf);
   }
   return needed;
 }
 
-MappedNetlist emit_cover(const Network& subject,
-                         std::span<const std::optional<Match>> chosen,
+MappedNetlist emit_cover(const Network& subject, const CoverSelection& chosen,
                          std::span<const std::uint8_t> needed,
                          std::string name, const Gate* inverter) {
   obs::Scope obs_scope("cover.emit");
@@ -61,7 +118,7 @@ MappedNetlist emit_cover(const Network& subject,
   for (NodeId n = 0; n < subject.size(); ++n) {
     if (!needed[n]) continue;
     ++num_needed;
-    if (!subject.is_source(n)) fanin_edges += chosen[n]->pin_binding.size();
+    if (!subject.is_source(n)) fanin_edges += chosen.at(n).pins.size();
   }
   out.reserve(subject.num_inputs() + subject.num_latches() + num_needed,
               fanin_edges + subject.num_latches());
@@ -90,8 +147,9 @@ MappedNetlist emit_cover(const Network& subject,
   // plain mapper), the walk degenerates to the forward loop; choice
   // covers re-point leaves at class-best variants that may sit later in
   // the order, and the descent builds them on demand.  Either way the
-  // order is a pure function of (subject, chosen, needed) — never of the
-  // schedule that produced the marking.
+  // order is a pure function of (subject, the selected views, needed) —
+  // never of the schedule that produced the marking, nor of the arena
+  // layout that holds the views.
   std::vector<InstId> fanins;
   std::vector<NodeId> stack;
   for (NodeId seed : subject.topo_order()) {
@@ -115,9 +173,9 @@ MappedNetlist emit_cover(const Network& subject,
         default:
           break;
       }
-      const Match& m = *chosen[n];
+      const SelectedMatch m = chosen.at(n);
       bool ready = true;
-      for (NodeId leaf : m.pin_binding) {
+      for (NodeId leaf : m.pins) {
         if (inst_of[leaf] != kNullInst) continue;
         DAGMAP_ASSERT_MSG(needed[leaf],
                           "match leaf missing from the cover marking");
@@ -126,9 +184,8 @@ MappedNetlist emit_cover(const Network& subject,
       }
       if (!ready) continue;
       fanins.clear();
-      fanins.reserve(m.pin_binding.size());
-      for (std::size_t pin = 0; pin < m.pin_binding.size(); ++pin) {
-        NodeId leaf = m.pin_binding[pin];
+      for (std::size_t pin = 0; pin < m.pins.size(); ++pin) {
+        NodeId leaf = m.pins[pin];
         bool neg = (m.input_negate >> pin) & 1u;
         fanins.push_back(neg ? negated(leaf) : inst_of[leaf]);
       }
@@ -152,8 +209,7 @@ MappedNetlist emit_cover(const Network& subject,
   return out;
 }
 
-MappedNetlist build_cover(const Network& subject,
-                          std::span<const std::optional<Match>> chosen,
+MappedNetlist build_cover(const Network& subject, const CoverSelection& chosen,
                           std::string name, const Gate* inverter) {
   obs::Scope obs_scope("cover");
   return emit_cover(subject, chosen, mark_cover(subject, chosen),

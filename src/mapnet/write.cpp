@@ -36,29 +36,38 @@ void append_id(std::string& out, InstId id) {
 // The printable net names of write.hpp's rule.  A final name that is the
 // plain `n<id>` is never materialized: its entry stays empty and the
 // name is formatted on output.  Given and suffixed names go into one
-// small hash set; plain names need none.  A plain `n<id>` can collide
-// only with an earlier given name spelled `n<id>` (a suffixed name
-// contains `_`, and every other generated name has another id), so a
-// kept given name `n<k>` marks a later k as claimed.  A given name
-// `n<k>` collides with an earlier unnamed k, whichever name k kept.
+// small hash map, owner by name; plain names need none.  Output names
+// enter it first, owned by their drivers, so no other instance takes
+// one.  A plain `n<id>` can collide only with an earlier given name
+// spelled `n<id>` or with an output name `n<id>` (a suffixed name
+// contains `_`, and every other generated name has another id), so both
+// mark k as claimed.  A given name `n<k>` collides with an earlier
+// unnamed k, whichever name k kept, unless the name is reserved for it.
 class NetNames {
  public:
   explicit NetNames(const MappedNetlist& net) : names_(net.size()) {
-    std::unordered_set<std::string_view> used;  // given and suffixed
+    std::unordered_map<std::string_view, InstId> owner;  // given, suffixed
     std::vector<bool> claimed(net.size(), false);
+    for (const Output& o : net.outputs()) {
+      owner.emplace(o.name, o.node);
+      if (InstId k = plain_id(o.name); k < net.size() && k != o.node)
+        claimed[k] = true;
+    }
     for (InstId id = 0; id < net.size(); ++id) {
       const std::string& given = net.name(id);
       if (given.empty()) {
         if (!claimed[id]) continue;
         names_[id] = suffixed(Plain(id).view(), id);
-      } else if (InstId k = plain_id(given);
-                 used.contains(given) || (k < id && net.name(k).empty())) {
+      } else if (auto it = owner.find(given); it != owner.end()) {
+        names_[id] = it->second == id ? std::string_view(given)
+                                      : suffixed(given, id);
+      } else if (InstId k = plain_id(given); k < id && net.name(k).empty()) {
         names_[id] = suffixed(given, id);
       } else {
         names_[id] = given;
         if (k > id && k < net.size()) claimed[k] = true;
       }
-      used.insert(names_[id]);
+      owner.insert_or_assign(names_[id], id);
     }
   }
 

@@ -24,15 +24,6 @@ Match::Match(const MatchView& v)
       pin_binding(v.pin_binding.begin(), v.pin_binding.end()),
       covered(v.covered.begin(), v.covered.end()) {}
 
-void Match::assign(const MatchView& v) {
-  gate = v.gate;
-  pattern = v.pattern;
-  pin_binding.assign(v.pin_binding.begin(), v.pin_binding.end());
-  covered.assign(v.covered.begin(), v.covered.end());
-  input_negate = 0;
-  output_negate = false;
-}
-
 double match_arrival(const MatchView& m, std::span<const double> leaf_arrival) {
   double arrival = 0.0;
   for (std::size_t pin = 0; pin < m.pin_binding.size(); ++pin) {

@@ -69,10 +69,6 @@ struct Match {
   Match() = default;
   explicit Match(const MatchView& v);
 
-  /// Overwrites this match with `v`, reusing the vectors' capacity (a
-  /// per-worker running best allocates nothing in the steady state).
-  void assign(const MatchView& v);
-
   const Gate* gate = nullptr;
   const PatternGraph* pattern = nullptr;
   /// Subject node feeding gate pin i (the match "leaves").
@@ -80,13 +76,6 @@ struct Match {
   /// Internal subject nodes covered by the match, root included
   /// (duplicates possible under Extended matches).
   std::vector<NodeId> covered;
-  /// Phase information for Boolean (NPN) matches: gate pin i reads the
-  /// *complement* of pin_binding[i] iff bit i of `input_negate` is set,
-  /// and the gate output is complemented iff `output_negate`.  The cover
-  /// materializes these as explicit inverter instances (emit_cover's
-  /// `inverter` parameter).  Structural matches leave both zero.
-  std::uint8_t input_negate = 0;
-  bool output_negate = false;
 };
 
 /// Non-owning view of a match: spans point into the enumerating thread's

@@ -29,7 +29,7 @@ MapResult tree_map(const Network& subject, const GateLibrary& lib,
   result.label.assign(subject.size(), 0.0);   // DP cost per objective
   std::vector<double> arrival(subject.size(), 0.0);  // always delay
 
-  std::vector<std::optional<Match>> chosen(subject.size());
+  CoverSelection chosen(subject.size());
 
   // Exact matches never cross multi-fanout points, so a single global
   // bottom-up DP over all internal nodes is exactly per-tree optimal
@@ -38,6 +38,7 @@ MapResult tree_map(const Network& subject, const GateLibrary& lib,
     if (subject.is_source(n)) continue;
     double best = kInf;
     double tie = kInf;
+    bool have = false;
     matcher.for_each_match(n, MatchClass::Exact, [&](const MatchView& m) {
       ++result.matches_enumerated;
       double cost;
@@ -58,13 +59,16 @@ MapResult tree_map(const Network& subject, const GateLibrary& lib,
           (cost < best + options.epsilon && second < tie)) {
         best = cost;
         tie = second;
-        chosen[n] = Match(m);
+        have = true;
+        chosen.stage(0, m);
       }
     });
-    DAGMAP_ASSERT_MSG(chosen[n].has_value(),
-                      "no exact match at an internal subject node");
+    DAGMAP_ASSERT_MSG(have, "no exact match at an internal subject node");
+    chosen.commit(n, 0);
+    const SelectedMatch pick = chosen.at(n);
     result.label[n] = best;
-    arrival[n] = match_arrival(*chosen[n], arrival);
+    arrival[n] = match_arrival({pick.gate, nullptr, pick.pins, pick.covered},
+                               arrival);
   }
   result.match_attempts = matcher.attempts();
   result.truncations = matcher.truncations();

@@ -69,8 +69,22 @@ TEST(FuzzInvariants, LoadRoundsNeverMeasureWorseThanRoundZero) {
   expect_clean(kFuzzLoadRounds, 80'000, 40);
 }
 
-TEST(FuzzPipeline, QuickSweepAllInvariants) {
-  expect_clean(kFuzzAllInvariants, 1, 200);
+// The full-suite quick sweep over seeds 1-200, in four CTest cases so
+// that a parallel ctest spreads it.
+TEST(FuzzPipeline, QuickSweepAllInvariantsSeeds1To50) {
+  expect_clean(kFuzzAllInvariants, 1, 50);
+}
+
+TEST(FuzzPipeline, QuickSweepAllInvariantsSeeds51To100) {
+  expect_clean(kFuzzAllInvariants, 51, 50);
+}
+
+TEST(FuzzPipeline, QuickSweepAllInvariantsSeeds101To150) {
+  expect_clean(kFuzzAllInvariants, 101, 50);
+}
+
+TEST(FuzzPipeline, QuickSweepAllInvariantsSeeds151To200) {
+  expect_clean(kFuzzAllInvariants, 151, 50);
 }
 
 TEST(FuzzPipeline, InstancesAreDeterministicInTheSeed) {

@@ -46,12 +46,12 @@ TEST_P(Optimality, NoRandomCoverBeatsTheOptimum) {
 
   Rng rng(GetParam() * 7919 + 3);
   for (int trial = 0; trial < 40; ++trial) {
-    std::vector<std::optional<Match>> chosen(sg.size());
+    CoverSelection chosen(sg.size());
     for (NodeId n = 0; n < sg.size(); ++n) {
       if (sg.is_source(n)) continue;
       ASSERT_FALSE(all[n].empty());
-      chosen[n] =
-          all[n][rng.below(static_cast<std::uint32_t>(all[n].size()))];
+      chosen.set(n,
+                 all[n][rng.below(static_cast<std::uint32_t>(all[n].size()))]);
     }
     MappedNetlist cover = build_cover(sg, chosen);
     double delay = circuit_delay(cover);
@@ -130,7 +130,7 @@ TEST(Optimality, ExhaustiveTinyGraph) {
     }
 
   double best = 1e300;
-  std::vector<std::optional<Match>> chosen(sg.size());
+  CoverSelection chosen(sg.size());
   std::function<void(std::size_t)> rec = [&](std::size_t i) {
     if (i == internal.size()) {
       MappedNetlist cover = build_cover(sg, chosen);
@@ -138,7 +138,7 @@ TEST(Optimality, ExhaustiveTinyGraph) {
       return;
     }
     for (const Match& m : all[internal[i]]) {
-      chosen[internal[i]] = m;
+      chosen.set(internal[i], m);
       rec(i + 1);
     }
   };

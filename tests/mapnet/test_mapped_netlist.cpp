@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include "decomp/tech_decomp.hpp"
+#include "gen/circuits.hpp"
 #include "library/standard_libs.hpp"
 #include "mapnet/cover.hpp"
+#include "mapnet/write.hpp"
 #include "netlist/assert.hpp"
 #include "sim/simulator.hpp"
 
@@ -88,9 +91,9 @@ TEST(Cover, BuildsFromChosenMatches) {
   NodeId h = sg.add_inv(g);
   sg.add_output(h, "o");
   Matcher matcher(lib, sg);
-  std::vector<std::optional<Match>> chosen(sg.size());
-  chosen[g] = matcher.matches_at(g, MatchClass::Standard).at(0);
-  chosen[h] = matcher.matches_at(h, MatchClass::Standard).at(0);
+  CoverSelection chosen(sg.size());
+  chosen.set(g, matcher.matches_at(g, MatchClass::Standard).at(0));
+  chosen.set(h, matcher.matches_at(h, MatchClass::Standard).at(0));
   MappedNetlist m = build_cover(sg, chosen);
   EXPECT_EQ(m.num_gates(), 2u);
   EXPECT_TRUE(check_equivalence(sg, m.to_network()).equivalent);
@@ -106,10 +109,10 @@ TEST(Cover, SkipsNodesCoveredInsideMatches) {
   NodeId h = sg.add_inv(g);
   sg.add_output(h, "o");
   Matcher matcher(lib, sg);
-  std::vector<std::optional<Match>> chosen(sg.size());
+  CoverSelection chosen(sg.size());
   for (const Match& m : matcher.matches_at(h, MatchClass::Standard))
-    if (m.gate->name == "and2") chosen[h] = m;
-  ASSERT_TRUE(chosen[h].has_value());
+    if (m.gate->name == "and2") chosen.set(h, m);
+  ASSERT_TRUE(chosen.has(h));
   MappedNetlist m = build_cover(sg, chosen);
   EXPECT_EQ(m.num_gates(), 1u);
   EXPECT_TRUE(check_equivalence(sg, m.to_network()).equivalent);
@@ -121,7 +124,7 @@ TEST(Cover, MissingMatchDetected) {
   NodeId a = sg.add_input("a");
   NodeId g = sg.add_inv(a);
   sg.add_output(g, "o");
-  std::vector<std::optional<Match>> chosen(sg.size());  // none selected
+  CoverSelection chosen(sg.size());  // none selected
   EXPECT_THROW(build_cover(sg, chosen), ContractError);
   (void)lib;
 }
@@ -131,7 +134,7 @@ TEST(Cover, ConstantsPassThrough) {
   Network sg("s");
   NodeId c = sg.add_constant(true);
   sg.add_output(c, "one");
-  std::vector<std::optional<Match>> chosen(sg.size());
+  CoverSelection chosen(sg.size());
   MappedNetlist m = build_cover(sg, chosen);
   EXPECT_EQ(m.num_gates(), 0u);
   EXPECT_TRUE(check_equivalence(sg, m.to_network()).equivalent);
@@ -143,11 +146,114 @@ TEST(Cover, PiDrivenOutput) {
   Network sg("s");
   NodeId a = sg.add_input("a");
   sg.add_output(a, "o");
-  std::vector<std::optional<Match>> chosen(sg.size());
+  CoverSelection chosen(sg.size());
   MappedNetlist m = build_cover(sg, chosen);
   EXPECT_EQ(m.num_gates(), 0u);
   EXPECT_EQ(m.outputs()[0].name, "o");
   (void)lib;
+}
+
+// The arena layout (which writer, which order) must never reach the
+// netlist: only each node's view does.
+TEST(Cover, WritersAndOrderDoNotChangeTheNetlist) {
+  GateLibrary lib = make_lib2_library();
+  Network sg = tech_decompose(make_comparator(4));
+  Matcher matcher(lib, sg);
+  std::vector<Match> pick(sg.size());
+  for (NodeId n = 0; n < sg.size(); ++n)
+    if (!sg.is_source(n)) {
+      std::vector<Match> all = matcher.matches_at(n, MatchClass::Standard);
+      ASSERT_FALSE(all.empty());
+      pick[n] = all.back();
+    }
+  CoverSelection in_order(sg.size());
+  for (NodeId n : sg.topo_order())
+    if (!sg.is_source(n)) in_order.set(n, pick[n]);
+  CoverSelection shuffled(sg.size(), 2);
+  const auto& order = sg.topo_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it)
+    if (!sg.is_source(*it)) shuffled.set(*it, pick[*it], *it % 2);
+
+  MappedNetlist a = build_cover(sg, in_order);
+  MappedNetlist b = build_cover(sg, shuffled);
+  EXPECT_EQ(a.structural_hash(), b.structural_hash());
+  EXPECT_EQ(write_mapped_blif(a), write_mapped_blif(b));
+  EXPECT_TRUE(check_equivalence(sg, b.to_network()).equivalent);
+}
+
+// An area round re-sets needed nodes; only the last commit counts.
+TEST(Cover, ResettingANodeKeepsOnlyTheLastMatch) {
+  GateLibrary lib = make_lib2_library();
+  Network sg("s");
+  NodeId a = sg.add_input("a");
+  NodeId b = sg.add_input("b");
+  NodeId g = sg.add_nand2(a, b);
+  NodeId h = sg.add_inv(g);
+  sg.add_output(h, "o");
+  Matcher matcher(lib, sg);
+  const Match* and2 = nullptr;
+  const Match* inv = nullptr;
+  std::vector<Match> at_h = matcher.matches_at(h, MatchClass::Standard);
+  for (const Match& m : at_h) {
+    if (m.gate->name == "and2") and2 = &m;
+    if (m.gate->name == "inv") inv = &m;
+  }
+  ASSERT_TRUE(and2 && inv);
+
+  CoverSelection chosen(sg.size(), 2);
+  chosen.set(g, matcher.matches_at(g, MatchClass::Standard).at(0), 1);
+  chosen.set(h, *and2);
+  chosen.set(h, *inv, 1);
+  SelectedMatch last = chosen.at(h);
+  EXPECT_EQ(last.gate, inv->gate);
+  EXPECT_EQ(std::vector<NodeId>(last.pins.begin(), last.pins.end()),
+            inv->pin_binding);
+  EXPECT_EQ(std::vector<NodeId>(last.covered.begin(), last.covered.end()),
+            inv->covered);
+  MappedNetlist two = build_cover(sg, chosen);
+  EXPECT_EQ(two.num_gates(), 2u);
+
+  chosen.set(h, *and2, 1);
+  MappedNetlist one = build_cover(sg, chosen);
+  EXPECT_EQ(one.num_gates(), 1u);
+  EXPECT_TRUE(check_equivalence(sg, one.to_network()).equivalent);
+}
+
+// Negated pins read one inverter per leaf, shared by every reader; a
+// negated output gets an inverter after the gate.
+TEST(Cover, NegatedRecordsEmitDeduplicatedInverters) {
+  GateLibrary lib = make_lib2_library();
+  const Gate* nand2 = find_gate(lib, "nand2");
+  const Gate* inv = lib.inverter();
+  Network sg("s");
+  NodeId a = sg.add_input("a");
+  NodeId b = sg.add_input("b");
+  NodeId na = sg.add_inv(a);
+  NodeId nb = sg.add_inv(b);
+  NodeId either = sg.add_nand2(na, nb);  // a | b
+  NodeId mixed = sg.add_nand2(na, b);    // !(!a & b)
+  NodeId both = sg.add_inv(sg.add_nand2(a, b));
+  sg.add_output(either, "either");
+  sg.add_output(mixed, "mixed");
+  sg.add_output(both, "both");
+
+  CoverSelection chosen(sg.size());
+  auto set = [&](NodeId n, std::initializer_list<NodeId> pins,
+                 std::uint8_t input_negate, bool output_negate) {
+    std::span<NodeId> slots =
+        chosen.stage(0, nand2, pins.size(), {}, input_negate, output_negate);
+    std::copy(pins.begin(), pins.end(), slots.begin());
+    chosen.commit(n, 0);
+  };
+  set(either, {a, b}, 0b11, false);
+  set(mixed, {a, b}, 0b01, false);
+  set(both, {a, b}, 0b00, true);
+
+  MappedNetlist m = build_cover(sg, chosen, {}, inv);
+  EXPECT_EQ(m.num_gates(), 6u);  // 3 nand2, inverters of a, b and `both`
+  EXPECT_EQ(m.gate_histogram()[inv->name], 3u);
+  EXPECT_TRUE(check_equivalence(sg, m.to_network()).equivalent);
+  EXPECT_THROW(build_cover(sg, chosen), ContractError);  // no inverter
 }
 
 }  // namespace

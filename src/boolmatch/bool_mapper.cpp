@@ -4,7 +4,6 @@
 #include <chrono>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 
 #include "boolmatch/npn_index.hpp"
 #include "cutmap/cuts.hpp"
@@ -54,9 +53,6 @@ MapResult bool_map(const Network& subject, const GateLibrary& lib,
   MapResult result;
   result.label.assign(subject.size(), 0.0);
   std::vector<BoolChosen> chosen(subject.size());
-  // Cache NPN canonicalizations of cut functions (few distinct classes).
-  std::unordered_map<std::uint16_t, std::pair<std::uint16_t, NpnTransform>>
-      canon_cache;
 
   for (NodeId n : subject.topo_order()) {
     if (subject.is_source(n)) continue;
@@ -109,11 +105,10 @@ MapResult bool_map(const Network& subject, const GateLibrary& lib,
         }
         if (identity) continue;
       }
-      auto [cc, inserted] = canon_cache.try_emplace(tt);
-      if (inserted) cc->second.first = npn_canonical(tt, &cc->second.second);
-      const std::vector<NpnLibEntry>* bucket = index->find(cc->second.first);
+      NpnTransform cut_to_canon;
+      const std::vector<NpnLibEntry>* bucket =
+          index->find(npn_canonical(tt, &cut_to_canon));
       if (!bucket) continue;
-      const NpnTransform& cut_to_canon = cc->second.second;
 
       for (const NpnLibEntry& e : *bucket) {
         // tt == apply(gate_tt, R) with R = compose(gate->canon,

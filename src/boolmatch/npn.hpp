@@ -5,7 +5,9 @@
 // Canonicalizing both sides (minimum truth table over all 2^4 * 4! * 2
 // transforms) reduces the question to a hash lookup, and the recorded
 // transforms compose into the concrete pin assignment and the inverters
-// the match needs.
+// the match needs.  Every caller shares one lazily filled table over all
+// 2^16 functions, so canonicalizing a function costs one scan per
+// process, then a load.
 //
 // This is the machinery behind the Boolean-matching mapper used as an
 // ablation against the paper's structural matching (structural matching
@@ -33,24 +35,21 @@ struct NpnTransform {
 };
 
 /// Applies `t` to a truth table over exactly 4 variables (narrower
-/// functions must be padded with `extended_to(4)` first).
+/// functions must be padded with `extended_to(4)` first).  `t.perm`
+/// must be a permutation of 0..3.
 std::uint16_t npn_apply(std::uint16_t tt, const NpnTransform& t);
 
 /// Canonical representative (minimum npn_apply over all transforms) and,
-/// optionally, one transform achieving it: npn_apply(tt, *to_canonical)
-/// == canonical.
+/// optionally, the first transform achieving it in the scan order
+/// (permutations lexicographically, then input negations 0..15, then
+/// output negation): npn_apply(tt, *to_canonical) == canonical.
+///
+/// An O(1) lookup in one process-wide 2^16-entry table that is filled
+/// on first use of each entry; safe to call from any number of threads.
+/// `*filled`, when given, says whether this call had to run the scan.
 std::uint16_t npn_canonical(std::uint16_t tt,
-                            NpnTransform* to_canonical = nullptr);
-
-/// Finds one transform with npn_apply(tt, *out) == target, scanning
-/// transforms in the same order as npn_canonical but stopping at the
-/// first hit.  Returns false (leaving *out untouched) when `target` is
-/// not NPN-equivalent to `tt`.  With `target` a known canonical
-/// representative (e.g. from a compiled library's NPN classes) this
-/// replaces the full 768-transform minimum scan of npn_canonical with an
-/// early-exiting search.
-bool npn_transform_to(std::uint16_t tt, std::uint16_t target,
-                      NpnTransform* out);
+                            NpnTransform* to_canonical = nullptr,
+                            bool* filled = nullptr);
 
 /// Inverse transform: npn_apply(npn_apply(tt, t), npn_inverse(t)) == tt.
 NpnTransform npn_inverse(const NpnTransform& t);

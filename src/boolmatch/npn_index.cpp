@@ -2,8 +2,7 @@
 
 namespace dagmap {
 
-NpnLibraryIndex::NpnLibraryIndex(const GateLibrary& lib,
-                                 std::span<const std::uint32_t> canonical_hint) {
+NpnLibraryIndex::NpnLibraryIndex(const GateLibrary& lib) {
   std::uint32_t gate_index = 0;
   for (const Gate& g : lib.gates()) {
     std::uint32_t i = gate_index++;
@@ -18,17 +17,7 @@ NpnLibraryIndex::NpnLibraryIndex(const GateLibrary& lib,
     NpnLibEntry e;
     e.gate = &g;
     e.gate_index = i;
-    std::uint16_t packed = pack_tt4(g.function);
-    std::uint16_t canon;
-    std::uint32_t hint = i < canonical_hint.size() ? canonical_hint[i]
-                                                   : kNoHint;
-    if (hint != kNoHint &&
-        npn_transform_to(packed, static_cast<std::uint16_t>(hint),
-                         &e.to_canonical)) {
-      canon = static_cast<std::uint16_t>(hint);
-    } else {
-      canon = npn_canonical(packed, &e.to_canonical);
-    }
+    std::uint16_t canon = npn_canonical(pack_tt4(g.function), &e.to_canonical);
     index_[canon].push_back(e);
     ++num_entries_;
   }

@@ -8,17 +8,9 @@
 // inputs, full support — a vacuous pin would make the pin binding
 // ambiguous) and buckets the gates by canonical representative, in
 // library order so lookups are deterministic.
-//
-// Construction normally runs npn_canonical per gate (768 transforms).
-// When the caller already knows each gate's canonical representative —
-// the compiled-library cache stores NPN classes — `canonical_hint` short
-// circuits the scan with an early-exiting npn_transform_to search
-// (libcache/compiled_library.hpp's npn_index_from_compiled builds the
-// hint vector).
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -38,15 +30,8 @@ struct NpnLibEntry {
 
 class NpnLibraryIndex {
  public:
-  /// Hint value for gates whose canonical form is unknown (or that the
-  /// hint provider could not canonicalize).
-  static constexpr std::uint32_t kNoHint = 0xFFFFFFFFu;
-
   /// Indexes the eligible gates of `lib` (which must outlive the index).
-  /// `canonical_hint`, when non-empty, must have one entry per library
-  /// gate: the gate function's NPN-canonical 16-bit table, or kNoHint.
-  explicit NpnLibraryIndex(const GateLibrary& lib,
-                           std::span<const std::uint32_t> canonical_hint = {});
+  explicit NpnLibraryIndex(const GateLibrary& lib);
 
   /// Gates whose function is NPN-equivalent to the canonical key, in
   /// library order; null when the class is empty.

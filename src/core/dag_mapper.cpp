@@ -212,27 +212,16 @@ MapResult map(const Network& subject, const GateLibrary& lib,
   schedule_part.reset();
 
   ThreadPool pool(num_threads);
+  // Per-worker tallies, summed once after the label phase.
   struct alignas(64) WorkerState {
     CutScratch scratch;
-    /// Flat per-worker canonicalization memo (lazy 64K tables): a node's
-    /// cut functions concentrate into few NPN classes, so the 768-
-    /// transform scan runs once per distinct table per worker.
-    std::vector<std::int32_t> canon;
-    std::vector<NpnTransform> canon_t;
     std::uint64_t enumerated = 0;
+    std::uint64_t wins_structural = 0;  ///< picks that are pattern matches
+    std::uint64_t wins_npn = 0;         ///< picks that are NPN cut matches
+    std::uint64_t npn_fills = 0;        ///< NPN table entries it scanned
   };
   std::vector<WorkerState> workers(num_threads);
   schedule_scope.reset();
-
-  auto canon_of = [&](std::uint16_t tt, WorkerState& w)
-      -> std::pair<std::uint16_t, const NpnTransform&> {
-    if (w.canon.empty()) {
-      w.canon.assign(std::size_t{1} << 16, -1);
-      w.canon_t.resize(std::size_t{1} << 16);
-    }
-    if (w.canon[tt] < 0) w.canon[tt] = npn_canonical(tt, &w.canon_t[tt]);
-    return {static_cast<std::uint16_t>(w.canon[tt]), w.canon_t[tt]};
-  };
 
   // Candidates at a node: structural matches first, then (cut source)
   // NPN matches of every stored non-trivial cut.  Per-node enumeration
@@ -255,8 +244,11 @@ MapResult map(const Network& subject, const GateLibrary& lib,
       CutSet::View cut = cs.cut(i);
       if (cut.leaves.size() == 1 && cut.leaves[0] == n) continue;  // trivial
       if (cut.tt == 0x0000 || cut.tt == 0xFFFF) continue;  // constant cone
-      auto [canon, to_canon] = canon_of(cut.tt, w);
-      const std::vector<NpnLibEntry>* bucket = npn->find(canon);
+      NpnTransform to_canon;
+      bool filled = false;
+      const std::vector<NpnLibEntry>* bucket =
+          npn->find(npn_canonical(cut.tt, &to_canon, &filled));
+      w.npn_fills += filled;
       if (!bucket) continue;
       NpnTransform from_canon = npn_inverse(to_canon);
       for (const NpnLibEntry& e : *bucket) {
@@ -396,6 +388,7 @@ MapResult map(const Network& subject, const GateLibrary& lib,
                                   cuts[n]);
           double best = kInf, best_area = kInf;
           const Gate* best_gate = nullptr;
+          bool best_npn = false;
           for_each_candidate(n, w, [&](const Candidate& c) {
             // Primary criterion: arrival.  Tie-break: implementation area
             // (inverters included), so the delay-optimal mapping does not
@@ -412,11 +405,13 @@ MapResult map(const Network& subject, const GateLibrary& lib,
               best = c.arrival;
               best_area = c.area;
               best_gate = c.gate;
+              best_npn = c.is_npn;
               stage(c, chosen, worker);
             }
           });
           DAGMAP_ASSERT_MSG(best_gate != nullptr,
                             "no candidate at an internal subject node");
+          (best_npn ? w.wins_npn : w.wins_structural) += 1;
           // Re-point the pick's classed leaves at the class-best variants
           // (folded in an earlier wave by the anchor rule), so all
           // downstream passes price and descend through plain label[]
@@ -438,14 +433,21 @@ MapResult map(const Network& subject, const GateLibrary& lib,
           }
         },
         "label.wave");
-    for (const WorkerState& w : workers)
+    std::uint64_t wins_structural = 0, wins_npn = 0, npn_fills = 0;
+    for (const WorkerState& w : workers) {
       result.matches_enumerated += w.enumerated;
+      wins_structural += w.wins_structural;
+      wins_npn += w.wins_npn;
+      npn_fills += w.npn_fills;
+    }
     result.match_attempts = matcher.attempts();
     result.match_prunes = matcher.pruned();
     result.truncations = matcher.truncations();
     if (obs::enabled()) {
       obs::counter_add("label.waves", waves.size());
       obs::counter_add("label.nodes", subject.num_internal());
+      obs::counter_add("label.wins_structural", wins_structural);
+      obs::counter_add("label.wins_npn", wins_npn);
       obs::counter_add("match.enumerated", result.matches_enumerated);
       obs::counter_add("match.walks", result.match_attempts);
       MatchStats ms = matcher.stats();
@@ -461,6 +463,7 @@ MapResult map(const Network& subject, const GateLibrary& lib,
         }
         obs::counter_add("cutmap.cuts", total_cuts);
         obs::counter_add("cutmap.cut_bytes", cut_bytes);
+        obs::counter_add("cutmap.npn_fills", npn_fills);
       }
     }
   }

@@ -84,7 +84,6 @@ CompiledLibrary compile_library(const std::string& genlib_text,
   // NPN classes over the canonicalizable gate functions (1..6 inputs;
   // the supergate canonicalizer's domain).  First-appearance order keeps
   // the table a pure function of the gate list.
-  CanonCache canon;
   std::unordered_map<CanonKey, std::uint32_t, CanonKeyHash> class_ids;
   const std::vector<Gate>& gates = c.library.gates();
   c.npn_class_of.reserve(gates.size());
@@ -94,7 +93,7 @@ CompiledLibrary compile_library(const std::string& genlib_text,
       c.npn_class_of.push_back(kNoNpnClass);
       continue;
     }
-    CanonKey key = canon.key(gates[gi].function.words()[0], nv);
+    CanonKey key = canon_key(gates[gi].function.words()[0], nv);
     auto [it, inserted] =
         class_ids.emplace(key, static_cast<std::uint32_t>(c.npn_classes.size()));
     if (inserted) c.npn_classes.push_back(NpnClass{key, {}});
@@ -521,21 +520,7 @@ LibraryLoadResult load_compiled_library_file(const std::string& path) {
 }
 
 NpnLibraryIndex npn_index_from_compiled(const CompiledLibrary& lib) {
-  // Hint vector: each gate's stored class key, when it is a genuine
-  // 4-variable NPN-canonical representative (supergate classes of 5-6
-  // leaves key by their raw table — no hint, the index falls back to the
-  // full scan, and gates that wide are skipped by the index anyway).
-  std::vector<std::uint32_t> hints(lib.library.size(),
-                                   NpnLibraryIndex::kNoHint);
-  for (std::size_t i = 0;
-       i < lib.npn_class_of.size() && i < hints.size(); ++i) {
-    std::uint32_t cls = lib.npn_class_of[i];
-    if (cls == kNoNpnClass) continue;
-    const CanonKey& key = lib.npn_classes[cls].key;
-    if (key.num_vars == kNpnMaxVars)
-      hints[i] = static_cast<std::uint32_t>(key.tt);
-  }
-  return NpnLibraryIndex(lib.library, hints);
+  return NpnLibraryIndex(lib.library);
 }
 
 bool validate_compiled_library(const CompiledLibrary& lib,

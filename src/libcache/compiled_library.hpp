@@ -148,11 +148,7 @@ void save_compiled_library_file(const CompiledLibrary& lib,
 LibraryLoadResult load_compiled_library_file(const std::string& path);
 
 /// Builds the NPN library index the priority-cut backend consumes
-/// (MapOptions::npn_index), seeding each gate's canonicalization with
-/// the compiled bundle's stored NPN class keys: classes of <= 4
-/// variables are true NPN-canonical representatives, so the 768-
-/// transform minimum scan collapses to an early-exiting search.
-/// Bit-identical to `NpnLibraryIndex(lib.library)` built from scratch.
+/// (MapOptions::npn_index): `NpnLibraryIndex(lib.library)`.
 NpnLibraryIndex npn_index_from_compiled(const CompiledLibrary& lib);
 
 /// Freshness check: true iff `lib` was compiled from exactly this

@@ -1,5 +1,6 @@
 #include "mapnet/write.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <deque>
@@ -299,62 +300,81 @@ void write_mapped_file(const MappedNetlist& net, const std::string& path) {
 
 namespace {
 
-// Logical-line splitter shared with the plain BLIF reader's discipline:
-// strip comments, join continuations, tokenize.
-std::vector<std::vector<std::string>> mapped_blif_lines(
-    const std::string& text) {
-  std::vector<std::vector<std::string>> lines;
-  std::string pending;
-  std::istringstream in(text);
-  std::string raw;
-  auto flush = [&] {
-    std::istringstream ls(pending);
-    std::vector<std::string> toks;
-    std::string t;
-    while (ls >> t) toks.push_back(t);
-    if (!toks.empty()) lines.push_back(std::move(toks));
-    pending.clear();
-  };
-  while (std::getline(in, raw)) {
-    if (auto hash = raw.find('#'); hash != std::string::npos) raw.resize(hash);
-    while (!raw.empty() && std::isspace(static_cast<unsigned char>(raw.back())))
-      raw.pop_back();
-    bool cont = !raw.empty() && raw.back() == '\\';
-    if (cont) raw.pop_back();
-    pending += raw;
-    pending += ' ';
-    if (!cont) flush();
+// Logical lines of a BLIF text, with the plain BLIF reader's discipline:
+// strip comments, join continuations, split on whitespace.  A line is
+// joined with a space at each continuation, so its tokens are the
+// tokens of its physical pieces, and every token is a view of the text.
+class BlifLines {
+ public:
+  explicit BlifLines(std::string_view text) : text_(text) {}
+
+  /// Reads the next non-empty logical line into `toks`; false at the end.
+  bool next(std::vector<std::string_view>& toks) {
+    toks.clear();
+    while (pos_ < text_.size()) {
+      std::size_t eol = std::min(text_.find('\n', pos_), text_.size());
+      std::string_view raw = text_.substr(pos_, eol - pos_);
+      pos_ = eol + 1;
+      raw = raw.substr(0, raw.find('#'));
+      while (!raw.empty() && is_space(raw.back())) raw.remove_suffix(1);
+      bool cont = !raw.empty() && raw.back() == '\\';
+      if (cont) raw.remove_suffix(1);
+      for (std::size_t i = 0; i < raw.size();) {
+        if (is_space(raw[i])) {
+          ++i;
+          continue;
+        }
+        std::size_t j = i;
+        while (j < raw.size() && !is_space(raw[j])) ++j;
+        toks.push_back(raw.substr(i, j - i));
+        i = j;
+      }
+      if (!cont && !toks.empty()) return true;
+    }
+    return !toks.empty();
   }
-  flush();
-  return lines;
-}
+
+  /// Position to return to with `seek` (one line of lookahead).
+  std::size_t tell() const { return pos_; }
+  void seek(std::size_t pos) { pos_ = pos; }
+
+ private:
+  static bool is_space(char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
 
 }  // namespace
 
 MappedNetlist parse_mapped_blif(const std::string& text,
                                 const GateLibrary& lib) {
-  std::unordered_map<std::string, const Gate*> gate_by_name;
-  for (const Gate& g : lib.gates()) gate_by_name[g.name] = &g;
+  std::unordered_map<std::string_view, const Gate*> gate_by_name;
+  for (const Gate& g : lib.gates()) gate_by_name.emplace(g.name, &g);
 
   MappedNetlist net;
   // Net names are interned to dense ids as lines are read; `driver[id]`
   // is the instance the name resolves to (the first definition wins).
+  // Names are views of `text`.
   constexpr std::uint32_t kNoName = 0xFFFFFFFFu;
-  std::unordered_map<std::string, std::uint32_t> name_ids;
-  std::vector<const std::string*> net_name;
+  std::unordered_map<std::string_view, std::uint32_t> name_ids;
+  std::vector<std::string_view> net_name;
   std::vector<InstId> driver;
-  auto intern = [&](const std::string& s) {
+  auto intern = [&](std::string_view s) {
     auto [it, fresh] =
         name_ids.try_emplace(s, static_cast<std::uint32_t>(driver.size()));
     if (fresh) {
       driver.push_back(kNullInst);
-      net_name.push_back(&it->first);
+      net_name.push_back(s);
     }
     return it->second;
   };
   auto define = [&](std::uint32_t id, InstId inst) {
     if (driver[id] == kNullInst) driver[id] = inst;
   };
+  auto str = [](std::string_view v) { return std::string(v); };
 
   // A gate, or (null `gate`) an identity alias of its one fanin.
   struct Pending {
@@ -367,15 +387,22 @@ MappedNetlist parse_mapped_blif(const std::string& text,
   std::vector<std::pair<std::uint32_t, std::uint32_t>> latches;  // d, q
   std::vector<std::uint32_t> output_names;
 
-  auto lines = mapped_blif_lines(text);
-  for (std::size_t li = 0; li < lines.size(); ++li) {
-    auto& toks = lines[li];
-    const std::string& kw = toks[0];
+  BlifLines lines(text);
+  std::vector<std::string_view> toks, row;
+  // Reads the line after a `.names` header when it is exactly `want`.
+  auto take_row = [&](std::initializer_list<std::string_view> want) {
+    std::size_t mark = lines.tell();
+    if (lines.next(row) && std::ranges::equal(row, want)) return true;
+    lines.seek(mark);
+    return false;
+  };
+  while (lines.next(toks)) {
+    std::string_view kw = toks[0];
     if (kw == ".model") {
-      if (toks.size() > 1) net = MappedNetlist(toks[1]);
+      if (toks.size() > 1) net = MappedNetlist(str(toks[1]));
     } else if (kw == ".inputs") {
       for (std::size_t i = 1; i < toks.size(); ++i)
-        define(intern(toks[i]), net.add_input(toks[i]));
+        define(intern(toks[i]), net.add_input(str(toks[i])));
     } else if (kw == ".outputs") {
       for (std::size_t i = 1; i < toks.size(); ++i)
         output_names.push_back(intern(toks[i]));
@@ -386,17 +413,19 @@ MappedNetlist parse_mapped_blif(const std::string& text,
       if (toks.size() < 3) throw ParseError("malformed .gate");
       auto it = gate_by_name.find(toks[1]);
       if (it == gate_by_name.end())
-        throw ParseError("unknown cell " + toks[1]);
+        throw ParseError("unknown cell " + str(toks[1]));
       Pending pg{it->second, {}, kNoName};
+      const std::string& gate_name = pg.gate->name;
       pg.fanins.assign(pg.gate->num_inputs(), kNoName);
       for (std::size_t i = 2; i < toks.size(); ++i) {
         auto eq = toks[i].find('=');
-        if (eq == std::string::npos)
-          throw ParseError("malformed .gate connection " + toks[i]);
-        std::string pin = toks[i].substr(0, eq);
-        std::string netname = toks[i].substr(eq + 1);
+        if (eq == std::string_view::npos)
+          throw ParseError("malformed .gate connection " + str(toks[i]));
+        std::string_view pin = toks[i].substr(0, eq);
+        std::string_view netname = toks[i].substr(eq + 1);
         std::uint32_t id = netname.empty() ? kNoName : intern(netname);
-        if (pin == "O" || pin == pg.gate->name + "_O") {
+        if (pin == "O" || (pin.size() == gate_name.size() + 2 &&
+                           pin.starts_with(gate_name) && pin.ends_with("_O"))) {
           pg.output = id;
           continue;
         }
@@ -406,35 +435,34 @@ MappedNetlist parse_mapped_blif(const std::string& text,
             pg.fanins[p] = id;
             found = true;
           }
-        if (!found) throw ParseError("unknown pin " + pin + " on " + toks[1]);
+        if (!found)
+          throw ParseError("unknown pin " + str(pin) + " on " + str(toks[1]));
       }
       if (pg.output == kNoName)
         throw ParseError(".gate without output connection");
       for (std::uint32_t f : pg.fanins)
-        if (f == kNoName) throw ParseError("unconnected pin on " + toks[1]);
+        if (f == kNoName)
+          throw ParseError("unconnected pin on " + str(toks[1]));
       pending.push_back(std::move(pg));
     } else if (kw == ".names") {
       // Accept only the writer's degenerate forms: constants and the
       // single-input identity alias.
       if (toks.size() == 2) {
-        // Constant: value determined by the (optional) next cover row.
-        bool value = li + 1 < lines.size() && lines[li + 1].size() == 1 &&
-                     lines[li + 1][0] == "1";
+        // Constant: value determined by the (optional) next cover row,
+        // which is consumed when it reads `1`.
+        bool value = take_row({"1"});
         define(intern(toks[1]), net.add_constant(value));
-        if (value) ++li;  // consume the row
       } else if (toks.size() == 3) {
-        if (li + 1 >= lines.size() || lines[li + 1] !=
-                                          std::vector<std::string>{"1", "1"})
+        if (!take_row({"1", "1"}))
           throw ParseError("only identity .names are supported in mapped BLIF");
         aliases.push_back({nullptr, {intern(toks[1])}, intern(toks[2])});
-        ++li;
       } else {
         throw ParseError("unsupported .names in mapped BLIF");
       }
     } else if (kw == ".end") {
       break;
     } else if (kw[0] == '.') {
-      throw ParseError("unsupported construct " + kw + " in mapped BLIF");
+      throw ParseError("unsupported construct " + str(kw) + " in mapped BLIF");
     } else {
       throw ParseError("unexpected cover row in mapped BLIF");
     }
@@ -443,7 +471,7 @@ MappedNetlist parse_mapped_blif(const std::string& text,
   // Latch outputs are sources: create them before any gate.
   std::vector<InstId> latch_insts;
   for (auto [d, q] : latches) {
-    InstId l = net.add_latch_placeholder(*net_name[q]);
+    InstId l = net.add_latch_placeholder(str(net_name[q]));
     define(q, l);
     latch_insts.push_back(l);
   }
@@ -472,7 +500,7 @@ MappedNetlist parse_mapped_blif(const std::string& text,
       } else {
         fanins.clear();
         for (std::uint32_t f : p.fanins) fanins.push_back(driver[f]);
-        inst = net.add_gate(p.gate, fanins, *net_name[p.output]);
+        inst = net.add_gate(p.gate, fanins, str(net_name[p.output]));
         ++resolved;
       }
       define(p.output, inst);
@@ -495,13 +523,13 @@ MappedNetlist parse_mapped_blif(const std::string& text,
     InstId d = driver[latches[i].first];
     if (d == kNullInst)
       throw ParseError("unresolvable latch input " +
-                       *net_name[latches[i].first]);
+                       str(net_name[latches[i].first]));
     net.connect_latch(latch_insts[i], d);
   }
   for (std::uint32_t o : output_names) {
     if (driver[o] == kNullInst)
-      throw ParseError("undefined output " + *net_name[o]);
-    net.add_output(driver[o], *net_name[o]);
+      throw ParseError("undefined output " + str(net_name[o]));
+    net.add_output(driver[o], str(net_name[o]));
   }
   net.check();
   return net;

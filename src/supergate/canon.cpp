@@ -30,13 +30,4 @@ CanonKey canon_key(std::uint64_t tt, unsigned num_vars) {
   return CanonKey{tt & mask, num_vars};
 }
 
-CanonKey CanonCache::key(std::uint64_t tt, unsigned num_vars) {
-  assert(num_vars <= 6);
-  if (num_vars > kNpnMaxVars) return canon_key(tt, num_vars);
-  std::uint16_t packed = pack16(tt, num_vars);
-  std::int32_t& slot = memo_[packed];
-  if (slot < 0) slot = npn_canonical(packed);
-  return CanonKey{static_cast<std::uint16_t>(slot), kNpnMaxVars};
-}
-
 }  // namespace dagmap

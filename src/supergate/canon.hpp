@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace dagmap {
 
@@ -31,24 +30,9 @@ struct CanonKey {
 };
 
 /// Builds the class key for a function given as the low 2^num_vars bits
-/// of `tt`.  `num_vars` must be <= kSupergateMaxVars (6).
+/// of `tt`.  `num_vars` must be <= kSupergateMaxVars (6).  The <= 4
+/// side is a lookup in npn_canonical's process-wide table.
 CanonKey canon_key(std::uint64_t tt, unsigned num_vars);
-
-/// Memoized canonicalizer.  npn_canonical walks all 768 transforms per
-/// call, but enumeration revisits the same few hundred functions tens
-/// of thousands of times — a flat 2^16 memo table turns the per-class
-/// dedup from the dominant cost into noise.  Not thread-safe; the merge
-/// stage that uses it is sequential by design.
-class CanonCache {
- public:
-  CanonCache() : memo_(std::size_t{1} << 16, -1) {}
-
-  /// Same key as canon_key(), memoized.
-  CanonKey key(std::uint64_t tt, unsigned num_vars);
-
- private:
-  std::vector<std::int32_t> memo_;  ///< packed tt16 -> canonical, -1 unset
-};
 
 struct CanonKeyHash {
   std::size_t operator()(const CanonKey& k) const {

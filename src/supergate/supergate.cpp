@@ -214,7 +214,6 @@ SupergateLibrary generate_supergates(const std::vector<GenlibGate>& base,
     std::string structure;
   };
   std::unordered_map<CanonKey, ClassBest, CanonKeyHash> best;
-  CanonCache canon;
   std::size_t survivors = 0;
   for (std::size_t a = 0; a < arenas.size(); ++a) {
     for (std::size_t i = 0; i < arenas[a].size(); ++i) {
@@ -232,7 +231,7 @@ SupergateLibrary generate_supergates(const std::vector<GenlibGate>& base,
         continue;
       }
       ++survivors;
-      CanonKey key = canon.key(c.tt, c.num_vars);
+      CanonKey key = canon_key(c.tt, c.num_vars);
       auto it = best.find(key);
       bool wins = it == best.end();
       std::string structure;  // built lazily: most challengers lose on

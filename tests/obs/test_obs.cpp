@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "core/dag_mapper.hpp"
+#include "cutmap/cut_mapper.hpp"
 #include "gen/circuits.hpp"
 #include "io/genlib.hpp"
 #include "libcache/compiled_library.hpp"
@@ -291,6 +292,29 @@ TEST_F(ObsTest, MapPhasesCoverTheMapping) {
   }
   EXPECT_GE(phased, 0.98 * r.cpu_seconds)
       << "phases " << phased << " s of " << r.cpu_seconds << " s";
+}
+
+// Label counters of the cut source: every labeled node's pick is either
+// a pattern match or an NPN cut match, and the NPN table is process-wide,
+// so a second identical map finds every entry it needs already filled.
+TEST_F(ObsTest, CutSourceWinCountersAndWarmNpnTable) {
+  Network subject = make_random_subject_graph(3000, 32, 16, 0xC07);
+  GateLibrary lib = make_44_library(3);
+  MapOptions o;
+  o.profile = true;
+  o.num_threads = 2;
+  MapResult first = cut_map(subject, lib, o);
+  ASSERT_TRUE(first.profile.collected);
+  const auto& c1 = first.profile.counters;
+  EXPECT_EQ(c1.at("label.wins_structural") + c1.at("label.wins_npn"),
+            c1.at("label.nodes"));
+  EXPECT_GT(c1.at("label.wins_npn"), 0u);
+
+  MapResult second = cut_map(subject, lib, o);
+  const auto& c2 = second.profile.counters;
+  EXPECT_EQ(c2.at("cutmap.npn_fills"), 0u);
+  EXPECT_EQ(c2.at("label.wins_npn"), c1.at("label.wins_npn"));
+  EXPECT_EQ(c2.at("label.wins_structural"), c1.at("label.wins_structural"));
 }
 
 }  // namespace

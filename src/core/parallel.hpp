@@ -30,6 +30,10 @@
 
 namespace dagmap {
 
+/// The largest thread count a front end accepts (`--threads`): every
+/// worker is an OS thread, and no host this runs on has more cores.
+inline constexpr unsigned kMaxThreads = 256;
+
 /// Resolves a user-facing thread-count knob: 0 means "all hardware
 /// threads", anything else is taken literally (minimum 1).
 unsigned resolve_num_threads(unsigned requested);

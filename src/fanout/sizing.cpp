@@ -4,6 +4,7 @@
 #include <span>
 #include <unordered_map>
 
+#include "io/liberty.hpp"
 #include "netlist/assert.hpp"
 
 namespace dagmap {
@@ -35,8 +36,11 @@ std::vector<GenlibGate> make_sized_genlib(const std::vector<GenlibGate>& base,
 GateLibrary make_sized_library(const std::string& genlib_text,
                                const std::vector<unsigned>& sizes,
                                std::string name) {
-  return GateLibrary::from_genlib(
-      make_sized_genlib(parse_genlib(genlib_text), sizes), std::move(name));
+  std::vector<GenlibGate> base = looks_like_liberty(genlib_text)
+                                     ? parse_liberty(genlib_text).gates
+                                     : parse_genlib(genlib_text);
+  return GateLibrary::from_genlib(make_sized_genlib(base, sizes),
+                                  std::move(name));
 }
 
 SizingResult size_gates(const MappedNetlist& net, const GateLibrary& lib,

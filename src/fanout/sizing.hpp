@@ -31,7 +31,7 @@ namespace dagmap {
 std::vector<GenlibGate> make_sized_genlib(const std::vector<GenlibGate>& base,
                                           const std::vector<unsigned>& sizes);
 
-/// Convenience: sized version of a GENLIB text.
+/// Convenience: sized version of a GENLIB (or Liberty) text.
 GateLibrary make_sized_library(const std::string& genlib_text,
                                const std::vector<unsigned>& sizes,
                                std::string name = "sized");

@@ -2,8 +2,18 @@
 
 #include <bit>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 namespace dagmap::libcache {
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
 
 std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t seed) {
   std::uint64_t h = seed;

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -30,6 +31,9 @@ class FormatError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// The bytes of the file at `path`; nullopt when it cannot be opened.
+std::optional<std::string> read_file(const std::string& path);
 
 /// FNV-1a over `bytes`, the artifact's integrity hash.  Any single-byte
 /// change provably changes the result (each step is a bijection of the

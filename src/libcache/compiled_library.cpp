@@ -2,14 +2,12 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <unordered_map>
 #include <utility>
 
 #include "io/expr.hpp"
 #include "io/liberty.hpp"
 #include "libcache/binio.hpp"
-#include "netlist/assert.hpp"
 #include "obs/obs.hpp"
 
 namespace dagmap {
@@ -64,8 +62,10 @@ CompiledLibrary compile_library(const std::string& genlib_text,
   std::vector<GenlibGate> base = [&] {
     obs::Scope scope("library.parse");
     c.source_hash = library_content_hash(genlib_text, options);
-    return looks_like_liberty(genlib_text) ? parse_liberty(genlib_text).gates
-                                           : parse_genlib(genlib_text);
+    if (!looks_like_liberty(genlib_text)) return parse_genlib(genlib_text);
+    LibertyLibrary liberty = parse_liberty(genlib_text);
+    c.cells_skipped = liberty.cells_skipped;
+    return std::move(liberty.gates);
   }();
   if (options.supergate_depth == 0) {
     c.gates = std::move(base);
@@ -508,15 +508,11 @@ void save_compiled_library_file(const CompiledLibrary& lib,
 }
 
 LibraryLoadResult load_compiled_library_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    LibraryLoadResult r;
-    r.error = "cannot open " + path;
-    return r;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return deserialize_compiled_library(ss.str());
+  std::optional<std::string> bytes = libcache::read_file(path);
+  if (bytes) return deserialize_compiled_library(*bytes);
+  LibraryLoadResult r;
+  r.error = "cannot open " + path;
+  return r;
 }
 
 NpnLibraryIndex npn_index_from_compiled(const CompiledLibrary& lib) {

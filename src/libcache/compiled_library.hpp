@@ -111,6 +111,9 @@ struct CompiledLibrary {
   std::vector<NpnClass> npn_classes;
   /// Zeroed when options.supergate_depth == 0.
   SupergateStats supergate_stats;
+  /// Liberty cells the reader skipped (sequential or unsupported); set
+  /// by compile_library, not stored in the artifact.
+  std::size_t cells_skipped = 0;
 };
 
 /// Compiles genlib text into the full bundle: parse -> (optional)

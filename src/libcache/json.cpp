@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "io/number.hpp"
 

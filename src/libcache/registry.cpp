@@ -1,8 +1,5 @@
 #include "libcache/registry.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "libcache/binio.hpp"
 
 namespace dagmap {
@@ -16,15 +13,6 @@ std::uint64_t registry_key(const std::string& path,
   return libcache::fnv1a64(path, options.hash());
 }
 
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
-
 }  // namespace
 
 LibraryRegistry::LibraryRegistry() : LibraryRegistry(Options()) {}
@@ -32,12 +20,12 @@ LibraryRegistry::LibraryRegistry() : LibraryRegistry(Options()) {}
 LibraryRegistry::Result LibraryRegistry::get(const std::string& genlib_path,
                                              const LibCompileOptions& options) {
   Result result;
-  std::string text;
-  if (!read_file(genlib_path, text)) {
+  std::optional<std::string> text = libcache::read_file(genlib_path);
+  if (!text) {
     result.error = "cannot read library " + genlib_path;
     return result;
   }
-  std::uint64_t expected = library_content_hash(text, options);
+  std::uint64_t expected = library_content_hash(*text, options);
   std::uint64_t key = registry_key(genlib_path, options);
 
   std::lock_guard<std::mutex> lock(mutex_);
@@ -58,24 +46,22 @@ LibraryRegistry::Result LibraryRegistry::get(const std::string& genlib_path,
   ++stats_.misses;
 
   std::shared_ptr<const CompiledLibrary> lib;
-  if (options_.use_artifacts) {
-    std::string artifact_bytes;
-    if (read_file(artifact_path(genlib_path), artifact_bytes)) {
-      LibraryLoadResult loaded = deserialize_compiled_library(artifact_bytes);
-      if (loaded.ok && loaded.lib.source_hash == expected) {
-        ++stats_.artifact_loads;
-        lib = std::make_shared<const CompiledLibrary>(std::move(loaded.lib));
-        result.source = "artifact";
-      } else {
-        ++stats_.artifact_rejects;
-      }
+  if (std::optional<std::string> artifact =
+          libcache::read_file(artifact_path(genlib_path))) {
+    LibraryLoadResult loaded = deserialize_compiled_library(*artifact);
+    if (loaded.ok && loaded.lib.source_hash == expected) {
+      ++stats_.artifact_loads;
+      lib = std::make_shared<const CompiledLibrary>(std::move(loaded.lib));
+      result.source = "artifact";
+    } else {
+      ++stats_.artifact_rejects;
     }
   }
   if (!lib) {
     try {
-      CompiledLibrary compiled = compile_library(text, options, genlib_path);
+      CompiledLibrary compiled = compile_library(*text, options, genlib_path);
       ++stats_.compiles;
-      if (options_.use_artifacts && options_.auto_save) {
+      if (options_.auto_save) {
         try {
           save_compiled_library_file(compiled, artifact_path(genlib_path));
           ++stats_.saves;

@@ -43,8 +43,6 @@ class LibraryRegistry {
     std::size_t capacity = 4;
     /// Write/refresh the `<genlib>.dmlc` sidecar after compiling.
     bool auto_save = true;
-    /// Consult sidecar artifacts at all (off = always compile).
-    bool use_artifacts = true;
   };
 
   LibraryRegistry();  ///< default Options

@@ -11,30 +11,24 @@
 //                                                   // not both; the
 //                                                   // registry sniffs the
 //                                                   // format anyway)
-//              "options": {"supergates": 0,         // compile: depth
-//                          "match": "standard",     // map: standard|extended
-//                          "backend": "structural", // or "cuts" (NPN
-//                                                   //   priority cuts)
-//                          "cut_size": 4,           // cuts only: 2..4
-//                          "cut_count": 8,          // cuts only: 1..64
-//                          "area_recovery": false,  // area rounds, both
-//                          "rounds": 1,             //   backends: 1..16
-//                          "delay_factor": 1.0,     //   1..100
-//                          "load_rounds": 0,        // load-aware rounds
-//                                                   // (dagmap/load_rounds)
-//                                                   // 0..16
-//                          "choices": false,        // or a generator list
-//                          "verify": false,         // equivalence-check
-//                          "profile": false}}       // per-request obs
+//              "options": {...}}                    // request_fields()
 //   response: {"ok": true, "id": N, "delay": ..., "area": ...,
 //              "gates": N, "subject_nodes": N,
 //              "structural_hash": "0x...", "blif": "<mapped BLIF>",
 //              "library": "<name>", "cache": "memory|artifact|compiled",
 //              "backend": "cuts",                   // cut-backend requests
+//              "choice_classes": N, ...,            // choice requests
 //              "loaded_delay": ..., "loaded_delay_round0": ...,
 //              "load_round": N,                     // when load_rounds > 0
+//              "verified": true,                    // when verify is on
 //              "profile": "<summary>"}              // when requested
 //   error:    {"ok": false, "id": N, "error": "<message>"}
+//
+// The members of "options" are the rows of the request field table
+// (libcache/request.hpp, listed in tools/README.md): one member per
+// dagmap_cli mapping flag, named with '_' where the flag has '-'.  A
+// request maps through `run_request`, the path dagmap_cli takes too;
+// "verify" is off unless asked for.
 //
 // Responses are emitted in request order.  Requests are mapped
 // concurrently: lines already buffered on the input are gathered into a
@@ -43,11 +37,10 @@
 // mapped result is bit-identical to a solo `dagmap_cli` run by the
 // determinism contract.  A malformed or failing request produces an
 // error response for its line and nothing else; the daemon keeps
-// serving.  The mapping options fill one `MapOptions` block and pass
-// `validate_map_options`, the range check the CLI flags share; an
-// option out of range, or one the chosen backend would ignore (cut
-// knobs on "structural", a delay factor without an area round), is an
-// error line, and so is an unknown member of "options".  Profiled
+// serving.  The options pass `validate_request`, the range check the CLI
+// flags share; an option out of range, or one the chosen backend would
+// ignore (cut knobs on "structural", a delay factor without an area
+// round), is an error line, and so is an unknown member of "options".  Profiled
 // requests run sequentially (the obs session is process-global) after
 // the concurrent part of their batch.
 //
@@ -70,8 +63,6 @@ struct ServeOptions {
   unsigned num_threads = 0;
   /// Largest request batch mapped per ThreadPool barrier.
   std::size_t max_batch = 32;
-  /// Resident compiled libraries (LibraryRegistry::Options::capacity).
-  std::size_t registry_capacity = 4;
   /// Maintain `<genlib>.dmlc` artifact sidecars.
   bool auto_save = true;
   /// Library used by requests that carry no "library" member.

@@ -23,9 +23,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "dagmap/dagmap.hpp"
+#include "libcache/binio.hpp"
 
 using namespace dagmap;
 
@@ -135,30 +138,20 @@ int main(int argc, char** argv) try {
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     auto value = [&]() -> const char* {
-      if (++i >= argc) return nullptr;
+      if (++i >= argc) std::exit(usage());
       return argv[i];
     };
     if (a == "--seeds") {
-      const char* v = value();
-      if (!v) return usage();
-      args.num_seeds = std::strtoull(v, nullptr, 10);
+      args.num_seeds = std::strtoull(value(), nullptr, 10);
     } else if (a == "--seed") {
-      const char* v = value();
-      if (!v) return usage();
-      args.seed_base = std::strtoull(v, nullptr, 10);
+      args.seed_base = std::strtoull(value(), nullptr, 10);
       args.num_seeds = 1;
     } else if (a == "--min-nodes") {
-      const char* v = value();
-      if (!v) return usage();
-      args.min_nodes = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      args.min_nodes = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
     } else if (a == "--max-nodes") {
-      const char* v = value();
-      if (!v) return usage();
-      args.max_nodes = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      args.max_nodes = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
     } else if (a == "--out") {
-      const char* v = value();
-      if (!v) return usage();
-      args.out_dir = v;
+      args.out_dir = value();
     } else if (a == "--shrink") {
       args.shrink = true;
     } else if (a == "--inject-bug") {
@@ -172,11 +165,8 @@ int main(int argc, char** argv) try {
     } else if (a == "--choices") {
       args.choices_only = true;
     } else if (a == "--replay") {
-      const char* b = value();
-      const char* g = value();
-      if (!b || !g) return usage();
-      args.replay_blif = b;
-      args.replay_genlib = g;
+      args.replay_blif = value();
+      args.replay_genlib = value();
     } else {
       return usage();
     }
@@ -186,11 +176,10 @@ int main(int argc, char** argv) try {
 
   if (!args.replay_blif.empty()) {
     Network circuit = read_blif_file(args.replay_blif);
-    std::ifstream in(args.replay_genlib);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+    std::optional<std::string> text = libcache::read_file(args.replay_genlib);
+    if (!text) throw std::runtime_error("cannot read " + args.replay_genlib);
     std::string why;
-    if (instance_fails(circuit, text, opt, &why)) {
+    if (instance_fails(circuit, *text, opt, &why)) {
       std::printf("FAIL\n%s\n", why.c_str());
       return 1;
     }

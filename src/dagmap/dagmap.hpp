@@ -39,6 +39,7 @@
 #include "io/liberty.hpp"
 #include "libcache/compiled_library.hpp"
 #include "libcache/registry.hpp"
+#include "libcache/request.hpp"
 #include "libcache/serve.hpp"
 #include "library/gate_library.hpp"
 #include "library/pattern.hpp"

@@ -14,14 +14,15 @@ namespace dagmap {
 namespace {
 
 using libcache::JsonValue;
+using Text = std::string_view;
 
 // Whole-text parsers (from_chars: no sign, no whitespace, no junk, no
 // wrap-around; never std::stod, which honors LC_NUMERIC).
-bool read_count(std::string_view t, unsigned& out) {
+bool read_count(Text t, unsigned& out) {
   auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
   return ec == std::errc() && ptr == t.data() + t.size();
 }
-bool read_flag(std::string_view t, bool& out) {
+bool read_flag(Text t, bool& out) {
   out = t == "true";
   return t == "true" || t == "false";
 }
@@ -32,36 +33,38 @@ bool read_flag(std::string_view t, bool& out) {
 constexpr RequestField kFields[] = {
     {"supergates", FieldType::Count, "0..8", "2",
      "augment the library with supergates of this composition depth",
-     [](MapRequest& r, std::string_view t) { return read_count(t, r.supergates); }},
+     [](MapRequest& r, Text t) { return read_count(t, r.supergates); }},
     {"match", FieldType::Word, "standard|extended", "",
      "match class (§3.2; the paper maps with standard)",
-     [](MapRequest& r, std::string_view t) {
-       r.map.match_class = t == "extended" ? MatchClass::Extended : MatchClass::Standard;
+     [](MapRequest& r, Text t) {
+       r.map.match_class =
+           t == "extended" ? MatchClass::Extended : MatchClass::Standard;
        return t == "standard" || t == "extended";
      }},
     {"backend", FieldType::Word, "structural|cuts", "",
      "candidate source: structural matches, or those plus NPN priority cuts",
-     [](MapRequest& r, std::string_view t) {
-       r.map.source = t == "cuts" ? CandidateSource::Cuts : CandidateSource::Structural;
+     [](MapRequest& r, Text t) {
+       r.map.source =
+           t == "cuts" ? CandidateSource::Cuts : CandidateSource::Structural;
        return t == "structural" || t == "cuts";
      }},
     {"cut_size", FieldType::Count, "2..4", "",
      "cuts backend: maximum cut leaves (default 4)",
-     [](MapRequest& r, std::string_view t) { return read_count(t, r.map.cuts.size); }},
+     [](MapRequest& r, Text t) { return read_count(t, r.map.cuts.size); }},
     {"cut_count", FieldType::Count, "1..64", "",
      "cuts backend: priority cuts kept per node (default 8)",
-     [](MapRequest& r, std::string_view t) { return read_count(t, r.map.cuts.count); }},
+     [](MapRequest& r, Text t) { return read_count(t, r.map.cuts.count); }},
     {"area_recovery", FieldType::Flag, "", "true",
      "one required-time area-recovery round, either backend",
-     [](MapRequest& r, std::string_view t) { return read_flag(t, r.map.area_recovery); }},
+     [](MapRequest& r, Text t) { return read_flag(t, r.map.area_recovery); }},
     {"rounds", FieldType::Count, "1..16", "",
      "mapping rounds; each past the first recovers area under required "
      "times (default 1)",
-     [](MapRequest& r, std::string_view t) { return read_count(t, r.map.rounds); }},
+     [](MapRequest& r, Text t) { return read_count(t, r.map.rounds); }},
     {"delay_factor", FieldType::Real, "1..100", "",
      "required-time slack of the area rounds, as a factor of the optimal "
      "delay (default 1)",
-     [](MapRequest& r, std::string_view t) {
+     [](MapRequest& r, Text t) {
        std::optional<double> d = parse_double_strict(t);
        r.map.delay_factor = d.value_or(0.0);
        return d.has_value();
@@ -69,24 +72,26 @@ constexpr RequestField kFields[] = {
     {"load_rounds", FieldType::Count, "0..16", "",
      "load-aware re-mapping rounds; the best measured round is kept "
      "(default 0)",
-     [](MapRequest& r, std::string_view t) { return read_count(t, r.map.load_rounds); }},
+     [](MapRequest& r, Text t) { return read_count(t, r.map.load_rounds); }},
     {"choices", FieldType::Word, "balanced,chain,andor,all", "all",
      "decompose into choice classes from these generators",
-     [](MapRequest& r, std::string_view t) {
-       std::optional<unsigned> gens = t.empty() ? 0u : parse_choice_gens(std::string(t));
+     [](MapRequest& r, Text t) {
+       std::optional<unsigned> gens =
+           t.empty() ? 0u : parse_choice_gens(std::string(t));
        r.choices = gens.value_or(0);
        return gens.has_value();
      }},
     {"verify", FieldType::Flag, "", "true",
      "check the mapped netlist against the circuit",
-     [](MapRequest& r, std::string_view t) { return read_flag(t, r.verify); }},
+     [](MapRequest& r, Text t) { return read_flag(t, r.verify); }},
     {"profile", FieldType::Flag, "", "true", "per-phase timings and counters",
-     [](MapRequest& r, std::string_view t) { return read_flag(t, r.map.profile); }},
+     [](MapRequest& r, Text t) { return read_flag(t, r.map.profile); }},
 };
 
 /// A JSON member as the text its field parses, or nullopt when the JSON
 /// type does not fit the field.
-std::optional<std::string> json_text(const RequestField& f, const JsonValue& j) {
+std::optional<std::string> json_text(const RequestField& f,
+                                     const JsonValue& j) {
   using Kind = JsonValue::Kind;
   if (j.kind == Kind::Bool && f.type == FieldType::Word && !f.bare.empty())
     return j.boolean ? std::string(f.bare) : "";
@@ -164,7 +169,8 @@ void parse_request_options(const JsonValue& options, MapRequest& req) {
       if (row.name == name) f = &row;
     // A misspelled option would otherwise map with its default.
     if (f == nullptr)
-      throw libcache::FormatError("unknown option " + libcache::json_quote(name));
+      throw libcache::FormatError("unknown option " +
+                                  libcache::json_quote(name));
     std::optional<std::string> text = json_text(*f, value);
     if (!text || !f->set(req, *text))
       throw libcache::FormatError("bad \"" + name + "\" value" + want(*f));

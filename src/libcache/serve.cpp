@@ -64,7 +64,8 @@ std::string parse_request(const std::string& line, const ServeOptions& sopt,
     throw libcache::FormatError(
         "missing \"library\" (and the server has no default)");
   slot.req.supergates = sopt.default_compile.supergate_depth;
-  if (const JsonValue* o = v.find("options")) parse_request_options(*o, slot.req);
+  if (const JsonValue* o = v.find("options"))
+    parse_request_options(*o, slot.req);
   if (std::string why = validate_request(slot.req); !why.empty())
     throw libcache::FormatError(why);
   return library;
@@ -125,10 +126,6 @@ void guarded(Slot& slot, Step step) {
   }
 }
 
-void handle_into(Slot& slot) {
-  guarded(slot, [&] { slot.response = handle_request(slot); });
-}
-
 }  // namespace
 
 ServeSummary run_serve(std::istream& in, std::ostream& out,
@@ -166,15 +163,16 @@ ServeSummary run_serve(std::istream& in, std::ostream& out,
     ++summary.batches;
 
     pool.parallel_for(slots.size(), [&](std::size_t i, unsigned) {
-      if (slots[i].response.empty() && !slots[i].req.map.profile)
-        handle_into(slots[i]);
+      Slot& slot = slots[i];
+      if (slot.response.empty() && !slot.req.map.profile)
+        guarded(slot, [&] { slot.response = handle_request(slot); });
     });
     // Profiled requests run sequentially: the obs session is
     // process-global, so each gets the session to itself.
     for (Slot& slot : slots) {
       if (slot.response.empty() && slot.req.map.profile) {
         obs::start();
-        handle_into(slot);
+        guarded(slot, [&] { slot.response = handle_request(slot); });
         obs::stop();
       }
     }

@@ -104,7 +104,8 @@ CliOptions parse_args(int argc, char** argv) {
       if (o.trace_path.empty()) usage("empty --profile= path");
       o.req.map.profile = true;
     }
-    else if (a == "--buffer") o.buffer_branch = parse_number<unsigned>("--buffer", next());
+    else if (a == "--buffer")
+      o.buffer_branch = parse_number<unsigned>("--buffer", next());
     else if (a == "--lt-buffer") o.lt_buffer = true;
     else if (a == "--size") o.size = true;
     else if (a == "--stats") o.stats = true;
@@ -170,9 +171,8 @@ int main(int argc, char** argv) try {
     ServeOptions sopt;
     sopt.num_threads = opt.threads;
     // Either source works: the registry sniffs Liberty vs GENLIB.
-    sopt.default_library = !opt.library_path.empty()
-                               ? opt.library_path
-                               : opt.liberty_path;  // empty = per-request
+    // At most one is set; empty = per-request libraries.
+    sopt.default_library = opt.library_path + opt.liberty_path;
     sopt.default_compile.supergate_depth = opt.req.supergates;
     sopt.default_compile.num_threads = opt.threads;
     ServeSummary s = run_serve(std::cin, std::cout, sopt);

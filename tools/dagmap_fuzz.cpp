@@ -141,15 +141,16 @@ int main(int argc, char** argv) try {
       if (++i >= argc) std::exit(usage());
       return argv[i];
     };
+    auto count = [&] { return std::strtoull(value(), nullptr, 10); };
     if (a == "--seeds") {
-      args.num_seeds = std::strtoull(value(), nullptr, 10);
+      args.num_seeds = count();
     } else if (a == "--seed") {
-      args.seed_base = std::strtoull(value(), nullptr, 10);
+      args.seed_base = count();
       args.num_seeds = 1;
     } else if (a == "--min-nodes") {
-      args.min_nodes = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+      args.min_nodes = static_cast<unsigned>(count());
     } else if (a == "--max-nodes") {
-      args.max_nodes = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+      args.max_nodes = static_cast<unsigned>(count());
     } else if (a == "--out") {
       args.out_dir = value();
     } else if (a == "--shrink") {

@@ -3,7 +3,9 @@
 #include <algorithm>
 
 #include "decomp/isop.hpp"
+#include "decomp/lowering_memo.hpp"
 #include "netlist/assert.hpp"
+#include "obs/obs.hpp"
 
 namespace dagmap {
 
@@ -100,23 +102,40 @@ ChoiceDecomposition tech_decompose_choices(const Network& src,
   Network& net = out.subject;
 
   std::vector<NodeId> map(src.size(), kNullNode);  // src -> canonical node
-
-  const std::vector<NodeId>* current_fanins = nullptr;
-  NetworkNandBuilder builder(net, [&](const std::string& name) -> NodeId {
-    DAGMAP_ASSERT(current_fanins && name.size() >= 2 && name[0] == 'v');
-    std::size_t idx = std::stoul(name.substr(1));
-    DAGMAP_ASSERT(idx < current_fanins->size());
-    return (*current_fanins)[idx];
+  NetworkNandBuilder builder(net);
+  // Every variant of a function, in generator order, up to the class
+  // size: the lowerings a node with that function replays.
+  LoweringMemo memo([&](const TruthTable& f,
+                        const std::vector<std::string>& vars) {
+    // Both phases feed every generator: positive SOP and the inverted
+    // complement SOP (the AOI/OAI-friendly form).
+    Expr phases[2] = {truth_table_to_expr(f, vars),
+                      Expr::make_not(truth_table_to_expr(~f, vars))};
+    std::vector<std::pair<Expr, DecompShape>> v;
+    auto add = [&](Expr e, DecompShape shape) {
+      if (v.size() < max_class) v.emplace_back(std::move(e), shape);
+    };
+    for (const Expr& e : phases) {
+      if (gens & kChoiceGenBalanced) add(e, DecompShape::Balanced);
+      if (gens & kChoiceGenChain) add(e, DecompShape::Chain);
+    }
+    if (gens & kChoiceGenAndOr) {
+      unsigned nv = std::min<unsigned>(f.num_vars(), options.max_hoisted_vars);
+      for (const Expr& e : phases)
+        for (unsigned i = 0; i < nv; ++i)
+          add(hoist_var(e, vars[i]), DecompShape::Balanced);
+    }
+    return v;
   });
 
   for (NodeId pi : src.inputs()) map[pi] = net.add_input(src.name(pi));
   for (NodeId l : src.latches())
     map[l] = net.add_latch_placeholder(src.name(l));
 
+  std::vector<NodeId> fanins, values;
   for (NodeId id : src.topo_order()) {
     if (map[id] != kNullNode) continue;
-    std::vector<NodeId> fanins;
-    fanins.reserve(src.fanins(id).size());
+    fanins.clear();
     for (NodeId f : src.fanins(id)) fanins.push_back(map[f]);
     switch (src.kind(id)) {
       case NodeKind::Const0: map[id] = builder.make_const(false); break;
@@ -137,34 +156,12 @@ ChoiceDecomposition tech_decompose_choices(const Network& src,
           map[id] = builder.make_const(f.is_const1());
           break;
         }
-        std::vector<std::string> vars;
-        for (unsigned i = 0; i < f.num_vars(); ++i)
-          vars.push_back("v" + std::to_string(i));
-        // Both phases feed every generator: positive SOP and the
-        // inverted complement SOP (the AOI/OAI-friendly form).
-        Expr phases[2] = {truth_table_to_expr(f, vars),
-                          Expr::make_not(truth_table_to_expr(~f, vars))};
-        current_fanins = &fanins;
         out.classes.begin_burst(static_cast<NodeId>(net.size()));
         NodeId first = kNullNode;
-        std::size_t emitted = 0;
-        auto lower_variant = [&](const Expr& e, DecompShape shape) {
-          if (emitted >= max_class) return;
-          NodeId v = static_cast<NodeId>(lower_expr(e, shape, builder));
+        for (const NandRecording& variant : memo.get(f)) {
+          NodeId v = variant.replay(builder, fanins, values);
           if (first == kNullNode) first = v;
           out.classes.add_member(v);
-          ++emitted;
-        };
-        for (const Expr& e : phases) {
-          if (gens & kChoiceGenBalanced) lower_variant(e, DecompShape::Balanced);
-          if (gens & kChoiceGenChain) lower_variant(e, DecompShape::Chain);
-        }
-        if (gens & kChoiceGenAndOr) {
-          unsigned nv = std::min<unsigned>(f.num_vars(),
-                                           options.max_hoisted_vars);
-          for (const Expr& e : phases)
-            for (unsigned i = 0; i < nv; ++i)
-              lower_variant(hoist_var(e, vars[i]), DecompShape::Balanced);
         }
         // Consumers reference the class anchor (the last-id member):
         // every structural reader then sits beyond the fold point, and
@@ -172,7 +169,6 @@ ChoiceDecomposition tech_decompose_choices(const Network& src,
         // readers actually consult.  Without a class (single surviving
         // variant) the first lowered root stands alone.
         NodeId canon = out.classes.end_burst();
-        current_fanins = nullptr;
         DAGMAP_ASSERT(first != kNullNode);
         // No class formed (single surviving variant): the lone root may
         // still have strashed onto an earlier class's member, so it too
@@ -185,6 +181,7 @@ ChoiceDecomposition tech_decompose_choices(const Network& src,
         DAGMAP_ASSERT_MSG(false, "source not pre-mapped");
     }
   }
+  obs::counter_add("decompose.functions_lowered", memo.functions_lowered());
 
   for (std::size_t i = 0; i < src.latches().size(); ++i)
     net.connect_latch(map[src.latches()[i]],

@@ -1,28 +1,44 @@
 #include "decomp/tech_decomp.hpp"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "decomp/isop.hpp"
+#include "decomp/lowering_memo.hpp"
 #include "netlist/assert.hpp"
 #include "obs/obs.hpp"
 
 namespace dagmap {
 
-NetworkNandBuilder::NetworkNandBuilder(
-    Network& net, std::function<NodeId(const std::string&)> leaf_resolver)
-    : net_(net), leaf_resolver_(std::move(leaf_resolver)) {}
-
-NandSink::Handle NetworkNandBuilder::leaf(const std::string& name) {
-  return leaf_resolver_(name);
+NodeId& NetworkNandBuilder::strash_slot(std::uint64_t key) {
+  if (2 * (strash_size_ + 1) > strash_.size()) {
+    std::vector<std::pair<std::uint64_t, NodeId>> old(
+        std::max<std::size_t>(1024, 2 * strash_.size()));
+    old.swap(strash_);
+    strash_size_ = 0;
+    for (const auto& [k, node] : old)
+      if (k != 0) strash_slot(k) = node;
+  }
+  std::size_t mask = strash_.size() - 1;
+  for (std::size_t i = (key * 0x9E3779B97F4A7C15ull) >> 20 & mask;;
+       i = (i + 1) & mask) {
+    auto& [k, node] = strash_[i];
+    if (k == key) return node;
+    if (k == 0) {
+      k = key;
+      node = kNullNode;
+      ++strash_size_;
+      return node;
+    }
+  }
 }
 
-NandSink::Handle NetworkNandBuilder::make_const(bool value) {
+NodeId NetworkNandBuilder::make_const(bool value) {
   NodeId& slot = value ? const1_ : const0_;
   if (slot == kNullNode) slot = net_.add_constant(value);
   return slot;
 }
 
-NandSink::Handle NetworkNandBuilder::make_inv(Handle a) {
+NodeId NetworkNandBuilder::make_inv(NodeId a) {
   // Constant propagation and double-inverter collapse.
   switch (net_.kind(a)) {
     case NodeKind::Const0: return make_const(true);
@@ -30,13 +46,12 @@ NandSink::Handle NetworkNandBuilder::make_inv(Handle a) {
     case NodeKind::Inv: return net_.fanins(a)[0];
     default: break;
   }
-  std::uint64_t key = (std::uint64_t{1} << 62) | a;
-  auto [it, inserted] = strash_.try_emplace(key, kNullNode);
-  if (inserted) it->second = net_.add_inv(a);
-  return it->second;
+  NodeId& slot = strash_slot((std::uint64_t{1} << 62) | a);
+  if (slot == kNullNode) slot = net_.add_inv(a);
+  return slot;
 }
 
-NandSink::Handle NetworkNandBuilder::make_nand2(Handle a, Handle b) {
+NodeId NetworkNandBuilder::make_nand2(NodeId a, NodeId b) {
   if (a > b) std::swap(a, b);
   // NAND simplifications: nand(x,x) = !x; nand(x,0) = 1; nand(x,1) = !x.
   if (a == b) return make_inv(a);
@@ -44,75 +59,62 @@ NandSink::Handle NetworkNandBuilder::make_nand2(Handle a, Handle b) {
   if (ka == NodeKind::Const0 || kb == NodeKind::Const0) return make_const(true);
   if (ka == NodeKind::Const1) return make_inv(b);
   if (kb == NodeKind::Const1) return make_inv(a);
-  std::uint64_t key =
-      (std::uint64_t{2} << 62) | (std::uint64_t{a} << 31) | b;
-  auto [it, inserted] = strash_.try_emplace(key, kNullNode);
-  if (inserted) it->second = net_.add_nand2(a, b);
-  return it->second;
+  NodeId& slot =
+      strash_slot((std::uint64_t{2} << 62) | (std::uint64_t{a} << 31) | b);
+  if (slot == kNullNode) slot = net_.add_nand2(a, b);
+  return slot;
 }
 
 Network tech_decompose(const Network& src, const TechDecompOptions& options) {
   obs::Scope obs_scope("decompose");
   Network out(src.name());
   std::vector<NodeId> map(src.size(), kNullNode);
-
-  // The leaf resolver reads the fanin handles of the node currently being
-  // lowered; leaf names are "v<i>" indexing into that vector.
-  const std::vector<NodeId>* current_fanins = nullptr;
-  NetworkNandBuilder builder(out, [&](const std::string& name) -> NodeId {
-    DAGMAP_ASSERT_MSG(current_fanins != nullptr && name.size() >= 2 &&
-                          name[0] == 'v',
-                      "unexpected leaf name " + name);
-    std::size_t idx = std::stoul(name.substr(1));
-    DAGMAP_ASSERT(idx < current_fanins->size());
-    return (*current_fanins)[idx];
+  NetworkNandBuilder builder(out);
+  LoweringMemo memo([&](const TruthTable& f,
+                        const std::vector<std::string>& vars) {
+    std::vector<std::pair<Expr, DecompShape>> v;
+    v.emplace_back(truth_table_to_expr_best_phase(f, vars), options.shape);
+    return v;
   });
 
-  // Sources first: PIs keep their names; latches become placeholders to be
-  // wired after their D cones exist.
-  for (NodeId pi : src.inputs()) map[pi] = out.add_input(src.name(pi));
-  for (NodeId l : src.latches())
-    map[l] = out.add_latch_placeholder(src.name(l));
+  {
+    obs::Scope lower_scope("decompose.lower");
+    // Sources first: PIs keep their names; latches become placeholders
+    // to be wired after their D cones exist.
+    for (NodeId pi : src.inputs()) map[pi] = out.add_input(src.name(pi));
+    for (NodeId l : src.latches())
+      map[l] = out.add_latch_placeholder(src.name(l));
 
-  for (NodeId id : src.topo_order()) {
-    if (map[id] != kNullNode) continue;  // sources already placed
-    std::vector<NodeId> fanins;
-    fanins.reserve(src.fanins(id).size());
-    for (NodeId f : src.fanins(id)) {
-      DAGMAP_ASSERT(map[f] != kNullNode);
-      fanins.push_back(map[f]);
-    }
-    switch (src.kind(id)) {
-      case NodeKind::Const0: map[id] = builder.make_const(false); break;
-      case NodeKind::Const1: map[id] = builder.make_const(true); break;
-      case NodeKind::Inv: map[id] = builder.make_inv(fanins[0]); break;
-      case NodeKind::Nand2:
-        map[id] = builder.make_nand2(fanins[0], fanins[1]);
-        break;
-      case NodeKind::Logic: {
-        const TruthTable& f = src.function(id);
-        if (f.is_const0()) {
-          map[id] = builder.make_const(false);
-          break;
-        }
-        if (f.is_const1()) {
-          map[id] = builder.make_const(true);
-          break;
-        }
-        std::vector<std::string> vars;
-        vars.reserve(f.num_vars());
-        for (unsigned i = 0; i < f.num_vars(); ++i)
-          vars.push_back("v" + std::to_string(i));
-        Expr e = truth_table_to_expr_best_phase(f, vars);
-        current_fanins = &fanins;
-        map[id] = static_cast<NodeId>(lower_expr(e, options.shape, builder));
-        current_fanins = nullptr;
-        break;
+    std::vector<NodeId> fanins, values;
+    for (NodeId id : src.topo_order()) {
+      if (map[id] != kNullNode) continue;  // sources already placed
+      fanins.clear();
+      for (NodeId f : src.fanins(id)) {
+        DAGMAP_ASSERT(map[f] != kNullNode);
+        fanins.push_back(map[f]);
       }
-      case NodeKind::PrimaryInput:
-      case NodeKind::Latch:
-        DAGMAP_ASSERT_MSG(false, "source not pre-mapped");
+      switch (src.kind(id)) {
+        case NodeKind::Const0: map[id] = builder.make_const(false); break;
+        case NodeKind::Const1: map[id] = builder.make_const(true); break;
+        case NodeKind::Inv: map[id] = builder.make_inv(fanins[0]); break;
+        case NodeKind::Nand2:
+          map[id] = builder.make_nand2(fanins[0], fanins[1]);
+          break;
+        case NodeKind::Logic: {
+          const TruthTable& f = src.function(id);
+          if (f.is_const0() || f.is_const1()) {
+            map[id] = builder.make_const(f.is_const1());
+            break;
+          }
+          map[id] = memo.get(f)[0].replay(builder, fanins, values);
+          break;
+        }
+        case NodeKind::PrimaryInput:
+        case NodeKind::Latch:
+          DAGMAP_ASSERT_MSG(false, "source not pre-mapped");
+      }
     }
+    obs::counter_add("decompose.functions_lowered", memo.functions_lowered());
   }
 
   for (std::size_t i = 0; i < src.latches().size(); ++i) {
@@ -122,6 +124,7 @@ Network tech_decompose(const Network& src, const TechDecompOptions& options) {
   }
   for (const Output& o : src.outputs()) out.add_output(map[o.node], o.name);
 
+  obs::Scope clean_scope("decompose.clean");
   auto [clean, remap] = out.cleaned_copy();
   clean.check();
   DAGMAP_ASSERT(clean.is_subject_graph());

@@ -2,11 +2,16 @@
 // graphs (step 1 of every mapping flow in the paper).
 //
 // Each generic logic node's function is converted to an irredundant SOP
-// (ISOP) and lowered with the shared AND/OR/NOT -> NAND2/INV routine.  The
-// builder hash-conses structurally identical nodes, collapses double
-// inverters, and constant-propagates, so the resulting subject graph is a
-// clean DAG.
+// (ISOP) and lowered with the shared AND/OR/NOT -> NAND2/INV routine —
+// once per distinct function, then replayed for every node that has it
+// (decomp/lowering_memo.hpp).  The builder hash-conses structurally
+// identical nodes, collapses double inverters, and constant-propagates,
+// so the resulting subject graph is a clean DAG.
 #pragma once
+
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "decomp/lowering.hpp"
 #include "netlist/network.hpp"
@@ -24,25 +29,27 @@ struct TechDecompOptions {
 /// Postcondition: `result.is_subject_graph()`.
 Network tech_decompose(const Network& src, const TechDecompOptions& options = {});
 
-/// A `NandSink` that builds into a `Network` with structural hashing,
-/// double-inverter collapsing and constant propagation.  Exposed so other
-/// subsystems (pattern generation tests, generators) can lower directly
-/// into networks.
-class NetworkNandBuilder : public NandSink {
+/// Builds NAND2/INV nodes into a `Network` with structural hashing,
+/// double-inverter collapsing and constant propagation: the builder that
+/// decomposition replays its recorded lowerings through
+/// (decomp/lowering_memo.hpp).
+class NetworkNandBuilder {
  public:
-  /// `leaf_resolver` maps leaf names to existing node ids in `net`.
-  NetworkNandBuilder(Network& net,
-                     std::function<NodeId(const std::string&)> leaf_resolver);
+  explicit NetworkNandBuilder(Network& net) : net_(net) {}
 
-  Handle leaf(const std::string& name) override;
-  Handle make_nand2(Handle a, Handle b) override;
-  Handle make_inv(Handle a) override;
-  Handle make_const(bool value) override;
+  NodeId make_nand2(NodeId a, NodeId b);
+  NodeId make_inv(NodeId a);
+  NodeId make_const(bool value);
 
  private:
+  /// The strash slot of `key` (a nonzero structural key): its node, or
+  /// kNullNode to be filled in.
+  NodeId& strash_slot(std::uint64_t key);
+
   Network& net_;
-  std::function<NodeId(const std::string&)> leaf_resolver_;
-  std::unordered_map<std::uint64_t, NodeId> strash_;
+  /// Open-addressed (key, node) table; key 0 marks an empty slot.
+  std::vector<std::pair<std::uint64_t, NodeId>> strash_;
+  std::size_t strash_size_ = 0;
   NodeId const0_ = kNullNode;
   NodeId const1_ = kNullNode;
 };

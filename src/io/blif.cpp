@@ -1,197 +1,199 @@
 #include "io/blif.hpp"
 
-#include <cctype>
 #include <fstream>
-#include <sstream>
+#include <span>
+#include <string_view>
 #include <unordered_map>
+#include <sstream>
 
+#include "io/blif_lines.hpp"
 #include "io/expr.hpp"
+#include "obs/obs.hpp"
 
 namespace dagmap {
 
 namespace {
 
-// Splits BLIF text into logical lines: strips comments, joins '\'
-// continuations, drops blank lines.
-std::vector<std::vector<std::string>> logical_lines(const std::string& text) {
-  std::vector<std::vector<std::string>> lines;
-  std::string pending;
-  std::istringstream in(text);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    if (auto hash = raw.find('#'); hash != std::string::npos)
-      raw.resize(hash);
-    // Continuation: trailing backslash.
-    std::string trimmed = raw;
-    while (!trimmed.empty() &&
-           std::isspace(static_cast<unsigned char>(trimmed.back())))
-      trimmed.pop_back();
-    bool cont = !trimmed.empty() && trimmed.back() == '\\';
-    if (cont) trimmed.pop_back();
-    pending += trimmed;
-    pending += ' ';
-    if (cont) continue;
-    std::istringstream ls(pending);
-    std::vector<std::string> toks;
-    std::string t;
-    while (ls >> t) toks.push_back(t);
-    if (!toks.empty()) lines.push_back(std::move(toks));
-    pending.clear();
-  }
-  if (!pending.empty()) {
-    std::istringstream ls(pending);
-    std::vector<std::string> toks;
-    std::string t;
-    while (ls >> t) toks.push_back(t);
-    if (!toks.empty()) lines.push_back(std::move(toks));
-  }
-  return lines;
-}
-
-// A .names block before resolution into the network.
+// A .names block before resolution into the network: views of the text.
 struct NamesBlock {
-  std::vector<std::string> inputs;
-  std::string output;
-  std::vector<std::pair<std::string, char>> cover;  // (input plane, output)
+  std::uint32_t inputs_begin = 0, inputs_end = 0;  ///< into block_inputs
+  std::uint32_t rows_begin = 0, rows_end = 0;      ///< into rows
+  std::uint32_t output = 0;                        ///< name id
 };
 
-TruthTable cover_to_truth_table(const NamesBlock& nb) {
-  unsigned nv = static_cast<unsigned>(nb.inputs.size());
+// A cover row: (input plane, output character).
+using CoverRow = std::pair<std::string_view, char>;
+
+TruthTable cover_to_truth_table(unsigned nv, std::span<const CoverRow> cover,
+                                std::string_view output) {
+  auto named = [&](const char* what) {
+    return ParseError(what + std::string(output));
+  };
   if (nv > TruthTable::kMaxVars)
-    throw ParseError(".names for " + nb.output + " has " + std::to_string(nv) +
-                     " inputs; at most " +
+    throw ParseError(".names for " + std::string(output) + " has " +
+                     std::to_string(nv) + " inputs; at most " +
                      std::to_string(TruthTable::kMaxVars) + " are supported");
   // The cover lists either the ON-set (output '1') or the OFF-set ('0');
   // BLIF requires all rows to agree.
   bool on_set = true;
-  for (auto& [plane, out] : nb.cover) {
-    if (plane.size() != nv)
-      throw ParseError("cover row width mismatch for " + nb.output);
+  for (auto& [plane, out] : cover) {
+    if (plane.size() != nv) throw named("cover row width mismatch for ");
     if (out == '0') on_set = false;
   }
   TruthTable t(nv);
-  for (auto& [plane, out] : nb.cover) {
-    if ((out == '1') != on_set)
-      throw ParseError("mixed ON/OFF cover for " + nb.output);
+  for (auto& [plane, out] : cover) {
+    if ((out == '1') != on_set) throw named("mixed ON/OFF cover for ");
     // Expand cube with '-' don't-cares.
-    std::vector<unsigned> free_vars;
+    unsigned free_vars[TruthTable::kMaxVars];
+    unsigned num_free = 0;
     std::size_t base = 0;
     for (unsigned i = 0; i < nv; ++i) {
       char c = plane[i];
       if (c == '1')
         base |= std::size_t{1} << i;
       else if (c == '-')
-        free_vars.push_back(i);
+        free_vars[num_free++] = i;
       else if (c != '0')
         throw ParseError(std::string("bad cover character '") + c + "'");
     }
-    for (std::size_t k = 0; k < (std::size_t{1} << free_vars.size()); ++k) {
+    for (std::size_t k = 0; k < (std::size_t{1} << num_free); ++k) {
       std::size_t m = base;
-      for (std::size_t j = 0; j < free_vars.size(); ++j)
+      for (unsigned j = 0; j < num_free; ++j)
         if ((k >> j) & 1) m |= std::size_t{1} << free_vars[j];
       t.set_bit(m, true);
     }
   }
-  if (nb.cover.empty()) on_set = true;  // empty cover = constant 0
+  if (cover.empty()) on_set = true;  // empty cover = constant 0
   return on_set ? t : ~t;
 }
 
 }  // namespace
 
 Network parse_blif(const std::string& text) {
-  auto lines = logical_lines(text);
-
   Network net;
-  std::unordered_map<std::string, NodeId> by_name;
+  // Names intern to dense ids by view; node_of[id] is the node a name
+  // resolves to (the first definition wins), or kNullNode.
+  BlifNames names;
+  std::vector<NodeId> node_of;
+  auto intern = [&](std::string_view s) {
+    std::uint32_t id = names.intern(s);
+    if (id == node_of.size()) node_of.push_back(kNullNode);
+    return id;
+  };
+  auto define = [&](std::uint32_t id, NodeId node) {
+    if (node_of[id] == kNullNode) node_of[id] = node;
+  };
+  auto str = [](std::string_view v) { return std::string(v); };
+
   // Blocks are resolved after reading the whole model because BLIF allows
   // forward references.
   std::vector<NamesBlock> blocks;
-  std::vector<std::pair<std::string, std::string>> latch_pairs;  // (in, out)
-  std::vector<std::string> output_names;
-  bool saw_model = false, saw_end = false;
-
-  for (auto& toks : lines) {
-    const std::string& kw = toks[0];
-    if (saw_end) throw ParseError("content after .end");
-    if (kw == ".model") {
-      if (saw_model) throw ParseError("multiple .model statements");
-      saw_model = true;
-      if (toks.size() > 1) net.set_name(toks[1]);
-    } else if (kw == ".inputs") {
-      for (std::size_t i = 1; i < toks.size(); ++i)
-        by_name.emplace(toks[i], net.add_input(toks[i]));
-    } else if (kw == ".outputs") {
-      for (std::size_t i = 1; i < toks.size(); ++i)
-        output_names.push_back(toks[i]);
-    } else if (kw == ".latch") {
-      // .latch <input> <output> [<type> <control>] [<init>]
-      if (toks.size() < 3) throw ParseError(".latch needs input and output");
-      latch_pairs.emplace_back(toks[1], toks[2]);
-    } else if (kw == ".names") {
-      NamesBlock nb;
-      for (std::size_t i = 1; i + 1 < toks.size(); ++i)
-        nb.inputs.push_back(toks[i]);
-      if (toks.size() < 2) throw ParseError(".names without output");
-      nb.output = toks.back();
-      blocks.push_back(std::move(nb));
-    } else if (kw == ".end") {
-      saw_end = true;
-    } else if (kw[0] != '.') {
-      // Cover row for the last .names block.
-      if (blocks.empty()) throw ParseError("cover row outside .names");
-      if (toks.size() == 1 && blocks.back().inputs.empty())
-        blocks.back().cover.emplace_back("", toks[0][0]);
-      else if (toks.size() == 2)
-        blocks.back().cover.emplace_back(toks[0], toks[1][0]);
-      else
-        throw ParseError("malformed cover row");
-    } else {
-      throw ParseError("unsupported BLIF construct " + kw);
+  std::vector<std::uint32_t> block_inputs;
+  std::vector<CoverRow> rows;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> latch_pairs;  // in, out
+  std::vector<std::uint32_t> output_names;
+  {
+    obs::Scope scope("read.tokenize");
+    bool saw_model = false, saw_end = false;
+    BlifLines lines(text);
+    std::vector<std::string_view> toks;
+    while (lines.next(toks)) {
+      std::string_view kw = toks[0];
+      if (saw_end) throw ParseError("content after .end");
+      if (kw == ".model") {
+        if (saw_model) throw ParseError("multiple .model statements");
+        saw_model = true;
+        if (toks.size() > 1) net.set_name(str(toks[1]));
+      } else if (kw == ".inputs") {
+        for (std::size_t i = 1; i < toks.size(); ++i)
+          define(intern(toks[i]), net.add_input(str(toks[i])));
+      } else if (kw == ".outputs") {
+        for (std::size_t i = 1; i < toks.size(); ++i)
+          output_names.push_back(intern(toks[i]));
+      } else if (kw == ".latch") {
+        // .latch <input> <output> [<type> <control>] [<init>]
+        if (toks.size() < 3) throw ParseError(".latch needs input and output");
+        latch_pairs.emplace_back(intern(toks[1]), intern(toks[2]));
+      } else if (kw == ".names") {
+        NamesBlock nb;
+        nb.inputs_begin = static_cast<std::uint32_t>(block_inputs.size());
+        for (std::size_t i = 1; i + 1 < toks.size(); ++i)
+          block_inputs.push_back(intern(toks[i]));
+        if (toks.size() < 2) throw ParseError(".names without output");
+        nb.inputs_end = static_cast<std::uint32_t>(block_inputs.size());
+        nb.output = intern(toks.back());
+        nb.rows_begin = nb.rows_end = static_cast<std::uint32_t>(rows.size());
+        blocks.push_back(nb);
+      } else if (kw == ".end") {
+        saw_end = true;
+      } else if (kw[0] != '.') {
+        // Cover row for the last .names block; its rows are contiguous,
+        // since no other statement adds rows.
+        if (blocks.empty()) throw ParseError("cover row outside .names");
+        NamesBlock& nb = blocks.back();
+        if (toks.size() == 1 && nb.inputs_begin == nb.inputs_end)
+          rows.emplace_back(std::string_view(), toks[0][0]);
+        else if (toks.size() == 2)
+          rows.emplace_back(toks[0], toks[1][0]);
+        else
+          throw ParseError("malformed cover row");
+        nb.rows_end = static_cast<std::uint32_t>(rows.size());
+      } else {
+        throw ParseError("unsupported BLIF construct " + str(kw));
+      }
     }
   }
 
+  obs::Scope scope("read.build");
+  net.reserve(net.size() + latch_pairs.size() + blocks.size(),
+              latch_pairs.size() + block_inputs.size());
   // Latch outputs are combinational sources that may be read by logic in
   // their own D cone (feedback), so they are pre-created as placeholders
   // and wired to their D signal after every .names block is resolved.
   std::vector<NodeId> latch_nodes;
-  for (auto& [d_name, q_name] : latch_pairs) {
-    if (by_name.count(q_name))
-      throw ParseError("latch output redefines " + q_name);
-    NodeId q = net.add_latch_placeholder(q_name);
-    by_name.emplace(q_name, q);
-    latch_nodes.push_back(q);
+  for (auto [d, q] : latch_pairs) {
+    if (node_of[q] != kNullNode)
+      throw ParseError("latch output redefines " + str(names.name(q)));
+    NodeId l = net.add_latch_placeholder(str(names.name(q)));
+    define(q, l);
+    latch_nodes.push_back(l);
   }
 
   // Resolve .names blocks in dependency order (BLIF allows forward
   // references): repeatedly pick up any block whose inputs are all known.
   std::size_t resolved = 0;
   std::vector<bool> done(blocks.size(), false);
+  std::vector<NodeId> fanins;
   bool progress = true;
   while (progress) {
     progress = false;
     for (std::size_t i = 0; i < blocks.size(); ++i) {
       if (done[i]) continue;
-      NamesBlock& nb = blocks[i];
-      std::vector<NodeId> fanins;
+      const NamesBlock& nb = blocks[i];
+      fanins.clear();
       bool ready = true;
-      for (const std::string& in : nb.inputs) {
-        auto it = by_name.find(in);
-        if (it == by_name.end()) {
+      for (std::uint32_t k = nb.inputs_begin; k < nb.inputs_end; ++k) {
+        NodeId in = node_of[block_inputs[k]];
+        if (in == kNullNode) {
           ready = false;
           break;
         }
-        fanins.push_back(it->second);
+        fanins.push_back(in);
       }
       if (!ready) continue;
-      if (by_name.count(nb.output))
-        throw ParseError("node redefined: " + nb.output);
-      TruthTable f = cover_to_truth_table(nb);
+      std::string_view output = names.name(nb.output);
+      if (node_of[nb.output] != kNullNode)
+        throw ParseError("node redefined: " + str(output));
+      unsigned nv = nb.inputs_end - nb.inputs_begin;
+      TruthTable f = cover_to_truth_table(
+          nv, std::span(rows).subspan(nb.rows_begin, nb.rows_end - nb.rows_begin),
+          output);
       NodeId id;
-      if (nb.inputs.empty())
+      if (nv == 0)
         id = net.add_constant(f.num_vars() == 0 && f.is_const1());
       else
-        id = net.add_logic(std::move(fanins), std::move(f), nb.output);
-      by_name.emplace(nb.output, id);
+        id = net.add_logic(fanins, std::move(f), str(output));
+      define(nb.output, id);
       done[i] = true;
       ++resolved;
       progress = true;
@@ -200,16 +202,16 @@ Network parse_blif(const std::string& text) {
   if (resolved != blocks.size())
     throw ParseError("unresolvable names (cycle or undefined signal)");
   for (std::size_t i = 0; i < latch_pairs.size(); ++i) {
-    auto it = by_name.find(latch_pairs[i].first);
-    if (it == by_name.end())
-      throw ParseError("unresolvable latch input " + latch_pairs[i].first);
-    net.connect_latch(latch_nodes[i], it->second);
+    std::uint32_t d = latch_pairs[i].first;
+    if (node_of[d] == kNullNode)
+      throw ParseError("unresolvable latch input " + str(names.name(d)));
+    net.connect_latch(latch_nodes[i], node_of[d]);
   }
 
-  for (const std::string& out : output_names) {
-    auto it = by_name.find(out);
-    if (it == by_name.end()) throw ParseError("undefined output " + out);
-    net.add_output(it->second, out);
+  for (std::uint32_t out : output_names) {
+    if (node_of[out] == kNullNode)
+      throw ParseError("undefined output " + str(names.name(out)));
+    net.add_output(node_of[out], str(names.name(out)));
   }
   return net;
 }
@@ -219,7 +221,7 @@ Network read_blif_file(const std::string& path) {
   if (!in) throw ParseError("cannot open BLIF file " + path);
   std::ostringstream ss;
   ss << in.rdbuf();
-  return parse_blif(ss.str());
+  return parse_blif(std::move(ss).str());
 }
 
 namespace {

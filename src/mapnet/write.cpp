@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "io/blif_lines.hpp"
 #include "io/expr.hpp"
 #include "netlist/assert.hpp"
 
@@ -298,57 +299,6 @@ void write_mapped_file(const MappedNetlist& net, const std::string& path) {
     f << write_mapped_blif(net);
 }
 
-namespace {
-
-// Logical lines of a BLIF text, with the plain BLIF reader's discipline:
-// strip comments, join continuations, split on whitespace.  A line is
-// joined with a space at each continuation, so its tokens are the
-// tokens of its physical pieces, and every token is a view of the text.
-class BlifLines {
- public:
-  explicit BlifLines(std::string_view text) : text_(text) {}
-
-  /// Reads the next non-empty logical line into `toks`; false at the end.
-  bool next(std::vector<std::string_view>& toks) {
-    toks.clear();
-    while (pos_ < text_.size()) {
-      std::size_t eol = std::min(text_.find('\n', pos_), text_.size());
-      std::string_view raw = text_.substr(pos_, eol - pos_);
-      pos_ = eol + 1;
-      raw = raw.substr(0, raw.find('#'));
-      while (!raw.empty() && is_space(raw.back())) raw.remove_suffix(1);
-      bool cont = !raw.empty() && raw.back() == '\\';
-      if (cont) raw.remove_suffix(1);
-      for (std::size_t i = 0; i < raw.size();) {
-        if (is_space(raw[i])) {
-          ++i;
-          continue;
-        }
-        std::size_t j = i;
-        while (j < raw.size() && !is_space(raw[j])) ++j;
-        toks.push_back(raw.substr(i, j - i));
-        i = j;
-      }
-      if (!cont && !toks.empty()) return true;
-    }
-    return !toks.empty();
-  }
-
-  /// Position to return to with `seek` (one line of lookahead).
-  std::size_t tell() const { return pos_; }
-  void seek(std::size_t pos) { pos_ = pos; }
-
- private:
-  static bool is_space(char c) {
-    return std::isspace(static_cast<unsigned char>(c)) != 0;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 MappedNetlist parse_mapped_blif(const std::string& text,
                                 const GateLibrary& lib) {
   std::unordered_map<std::string_view, const Gate*> gate_by_name;
@@ -359,17 +309,12 @@ MappedNetlist parse_mapped_blif(const std::string& text,
   // is the instance the name resolves to (the first definition wins).
   // Names are views of `text`.
   constexpr std::uint32_t kNoName = 0xFFFFFFFFu;
-  std::unordered_map<std::string_view, std::uint32_t> name_ids;
-  std::vector<std::string_view> net_name;
+  BlifNames net_names;
   std::vector<InstId> driver;
   auto intern = [&](std::string_view s) {
-    auto [it, fresh] =
-        name_ids.try_emplace(s, static_cast<std::uint32_t>(driver.size()));
-    if (fresh) {
-      driver.push_back(kNullInst);
-      net_name.push_back(s);
-    }
-    return it->second;
+    std::uint32_t id = net_names.intern(s);
+    if (id == driver.size()) driver.push_back(kNullInst);
+    return id;
   };
   auto define = [&](std::uint32_t id, InstId inst) {
     if (driver[id] == kNullInst) driver[id] = inst;
@@ -471,7 +416,7 @@ MappedNetlist parse_mapped_blif(const std::string& text,
   // Latch outputs are sources: create them before any gate.
   std::vector<InstId> latch_insts;
   for (auto [d, q] : latches) {
-    InstId l = net.add_latch_placeholder(str(net_name[q]));
+    InstId l = net.add_latch_placeholder(str(net_names.name(q)));
     define(q, l);
     latch_insts.push_back(l);
   }
@@ -500,7 +445,7 @@ MappedNetlist parse_mapped_blif(const std::string& text,
       } else {
         fanins.clear();
         for (std::uint32_t f : p.fanins) fanins.push_back(driver[f]);
-        inst = net.add_gate(p.gate, fanins, str(net_name[p.output]));
+        inst = net.add_gate(p.gate, fanins, str(net_names.name(p.output)));
         ++resolved;
       }
       define(p.output, inst);
@@ -523,13 +468,13 @@ MappedNetlist parse_mapped_blif(const std::string& text,
     InstId d = driver[latches[i].first];
     if (d == kNullInst)
       throw ParseError("unresolvable latch input " +
-                       str(net_name[latches[i].first]));
+                       str(net_names.name(latches[i].first)));
     net.connect_latch(latch_insts[i], d);
   }
   for (std::uint32_t o : output_names) {
     if (driver[o] == kNullInst)
-      throw ParseError("undefined output " + str(net_name[o]));
-    net.add_output(driver[o], str(net_name[o]));
+      throw ParseError("undefined output " + str(net_names.name(o)));
+    net.add_output(driver[o], str(net_names.name(o)));
   }
   net.check();
   return net;

@@ -3,17 +3,18 @@
 // Graph nodes frequently share names (or have none): the pool stores
 // each distinct name once and hands out 32-bit ids.  Id 0 is always the
 // empty string, so unnamed nodes cost one integer.  Strings live in a
-// deque (elements never move), and the intern map keys are views into
-// those elements — copying the pool rebuilds the map against the copy's
-// own storage.
+// deque (elements never move); the intern index is an open-addressed
+// table of ids, so interning allocates nothing but the string and a
+// copied pool can copy the index as it is.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 namespace dagmap {
 
@@ -21,34 +22,27 @@ class NamePool {
  public:
   NamePool() { pool_.emplace_back(); }
 
-  NamePool(const NamePool& other) : pool_(other.pool_) { rebuild_map(); }
-  NamePool& operator=(const NamePool& other) {
-    if (this != &other) {
-      pool_ = other.pool_;
-      map_.clear();
-      rebuild_map();
-    }
-    return *this;
-  }
-  NamePool(NamePool&&) noexcept = default;
-  NamePool& operator=(NamePool&&) noexcept = default;
-
   /// Returns the id of `name`, adding it to the pool if new.  The empty
   /// string is always id 0.
   std::uint32_t intern(std::string&& name) {
     if (name.empty()) return 0;
-    auto it = map_.find(std::string_view(name));
-    if (it != map_.end()) return it->second;
-    std::uint32_t id = static_cast<std::uint32_t>(pool_.size());
-    pool_.push_back(std::move(name));
-    map_.emplace(pool_.back(), id);
-    return id;
+    if (2 * pool_.size() > slots_.size()) rehash(2 * slots_.size());
+    std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash(name) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == 0) {
+        auto id = static_cast<std::uint32_t>(pool_.size());
+        pool_.push_back(std::move(name));
+        slots_[i] = id;
+        return id;
+      }
+      if (pool_[slots_[i]] == name) return slots_[i];
+    }
   }
 
-  /// Growth hint for batch interning: pre-sizes the intern map for about
-  /// `extra` additional distinct names (the deque needs no help — its
-  /// elements never move).  Unnamed nodes are free either way (id 0).
-  void reserve(std::size_t extra) { map_.reserve(map_.size() + extra); }
+  /// Growth hint for batch interning: pre-sizes the intern index for
+  /// about `extra` additional distinct names (the deque needs no help —
+  /// its elements never move).  Unnamed nodes are free either way (id 0).
+  void reserve(std::size_t extra) { rehash(2 * (pool_.size() + extra)); }
 
   const std::string& at(std::uint32_t id) const { return pool_[id]; }
 
@@ -56,13 +50,25 @@ class NamePool {
   std::size_t size() const { return pool_.size(); }
 
  private:
-  void rebuild_map() {
-    map_.reserve(pool_.size());
-    for (std::uint32_t i = 1; i < pool_.size(); ++i) map_.emplace(pool_[i], i);
+  static std::size_t hash(std::string_view s) {
+    return std::hash<std::string_view>()(s);
+  }
+
+  /// Rebuilds the index with at least `capacity` slots (a power of two).
+  void rehash(std::size_t capacity) {
+    std::size_t size = 16;
+    while (size < capacity) size *= 2;
+    if (size <= slots_.size()) return;
+    slots_.assign(size, 0);
+    for (std::uint32_t id = 1; id < pool_.size(); ++id) {
+      std::size_t i = hash(pool_[id]) & (size - 1);
+      while (slots_[i] != 0) i = (i + 1) & (size - 1);
+      slots_[i] = id;
+    }
   }
 
   std::deque<std::string> pool_;
-  std::unordered_map<std::string_view, std::uint32_t> map_;
+  std::vector<std::uint32_t> slots_;  ///< name ids; 0 marks an empty slot
 };
 
 }  // namespace dagmap

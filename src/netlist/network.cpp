@@ -316,8 +316,10 @@ void Network::fill_topology(TopologyCache::Data& d) const {
 
   d.topo.clear();
   d.topo.reserve(n);
+  // Seeds: the sources, and any node without fanins (a Logic node of
+  // zero inputs, which is a constant by another name).
   for (NodeId id = 0; id < n; ++id)
-    if (is_source(id)) d.topo.push_back(id);
+    if (is_source(id) || pending[id] == 0) d.topo.push_back(id);
   for (std::size_t head = 0; head < d.topo.size(); ++head) {
     NodeId v = d.topo[head];
     for (std::uint32_t e = d.fanout_offsets[v]; e < d.fanout_offsets[v + 1];

@@ -3,8 +3,15 @@
 // Every mapping step in this library is validated by simulation: a mapped
 // netlist must behave exactly like its subject graph, and a subject graph
 // like the network it decomposes.  Simulation is 64-way bit-parallel;
-// equivalence checking is exhaustive up to 16 primary inputs and uses
-// seeded random vectors beyond that.
+// equivalence checking is exhaustive up to `exhaustive_limit` sources and
+// uses seeded random vectors beyond that.
+//
+// Each network is compiled once into a straight-line program (one op
+// list per distinct node function, value slots reused by live range)
+// that is then replayed over a block of 64-bit words per pass; DESIGN.md
+// "Compiled simulation" describes the layout.  The program changes only
+// the speed: vectors, their order and every verdict and counterexample
+// are those of a node-by-node interpreter running one word at a time.
 //
 // Sequential circuits are checked combinationally: latch outputs are
 // treated as extra inputs and latch D signals as extra outputs, which is
@@ -27,26 +34,6 @@ namespace dagmap {
 /// latch D inputs.
 std::vector<std::uint64_t> simulate64(const Network& net,
                                       std::span<const std::uint64_t> source_words);
-
-/// Widest logic node `eval_logic` evaluates by Shannon reduction; wider
-/// ones take the per-lane loop (2^16 word muxes would lose to 64 lanes).
-inline constexpr std::size_t kShannonMaxInputs = 8;
-
-/// Value of a logic node's truth table `f` on 64 input vectors at once:
-/// lane L of the result is f at the minterm whose bit i is lane L of
-/// `fanin_words[i]` (one word per variable of f).
-std::uint64_t eval_logic(const TruthTable& f,
-                         std::span<const std::uint64_t> fanin_words);
-
-/// `eval_logic` one lane at a time: 64 truth-table lookups.
-std::uint64_t eval_logic_lanes(const TruthTable& f,
-                               std::span<const std::uint64_t> fanin_words);
-
-/// `eval_logic` by Shannon mux reduction over whole words: 2^k - 1 muxes
-/// for k inputs, in `scratch` (at least 2^k words).
-std::uint64_t eval_logic_shannon(const TruthTable& f,
-                                 std::span<const std::uint64_t> fanin_words,
-                                 std::span<std::uint64_t> scratch);
 
 /// Result of an equivalence check; `counterexample` is meaningful only
 /// when `equivalent` is false (one bit per source, same order as

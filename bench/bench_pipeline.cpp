@@ -1,5 +1,6 @@
 // bench_pipeline — the depth-wavefront labeling schedule at 1M-node
-// scale, swept over 1, 2 and 4 worker threads.
+// scale, swept over 1, 2 and 4 worker threads, and the whole CLI job
+// around it.
 //
 // Two subjects, both mapped with the lib2-like library:
 //
@@ -9,6 +10,12 @@
 //   multiplier  — tech_decompose(make_array_multiplier(256)), ~1.1M
 //                 internal nodes: reconvergent and circuit-shaped, with
 //                 thousands of narrower depth waves.
+//
+// The `cli` row is `dagmap_cli --library lib2 --profile --out` on the
+// random subject written as BLIF: read -> library.build -> decompose ->
+// map -> verify -> write, through `run_request`, in one profiling
+// session per run.  It records the wall time of the whole job and its
+// top-level phases; every run's mapped BLIF must be byte-identical.
 //
 // Each (subject, thread count) cell runs `reps` times, round-robin over
 // the thread counts so host noise spreads over all of them; the cell
@@ -30,6 +37,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -39,7 +47,9 @@
 #include "core/dag_mapper.hpp"
 #include "decomp/tech_decomp.hpp"
 #include "gen/circuits.hpp"
+#include "io/blif.hpp"
 #include "libcache/binio.hpp"
+#include "libcache/request.hpp"
 #include "library/standard_libs.hpp"
 #include "mapnet/write.hpp"
 
@@ -149,6 +159,104 @@ std::string sweep(const char* name, const Network& subject,
   return json + "]}";
 }
 
+/// The CLI job on `subject` written as BLIF, at every thread count;
+/// returns its JSON object and clears `identical` when a run's mapped
+/// BLIF differs from the first run's.
+std::string cli_sweep(const Network& subject, unsigned reps,
+                      bool& identical) {
+  std::string path =
+      (std::filesystem::temp_directory_path() / "bench_pipeline_cli.blif")
+          .string();
+  write_blif_file(subject, path);
+  std::size_t blif_in_bytes = std::filesystem::file_size(path);
+  std::vector<Cell> cells(std::size(kThreads));
+  std::uint64_t ref_hash = 0;
+  std::size_t ref_bytes = 0, ref_gates = 0;
+  double ref_coverage = 0.0;
+  for (unsigned r = 0; r < reps; ++r) {
+    for (std::size_t t = 0; t < std::size(kThreads); ++t) {
+      MapRequest req;
+      req.verify = true;
+      req.map.profile = true;
+      req.map.num_threads = kThreads[t];
+      auto t0 = std::chrono::steady_clock::now();
+      obs::start();
+      Network circuit = [&] {
+        obs::Scope scope("read");
+        return read_blif_file(path);
+      }();
+      CompiledLibrary lib = [&] {
+        obs::Scope scope("library.build");
+        LibCompileOptions copt;
+        copt.num_threads = kThreads[t];
+        return compile_library(lib2_genlib_text(), copt, "lib2-like");
+      }();
+      RequestResult res = run_request(circuit, lib, req);
+      std::string blif;
+      {
+        obs::Scope scope("write");
+        blif = write_mapped_blif(res.result.netlist);
+      }
+      obs::stop();
+      obs::ProfileData profile = obs::collect();
+      double wall = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+      std::uint64_t hash = libcache::fnv1a64(blif);
+      bool ok = res.equivalent.value_or(false);
+      if (r == 0 && t == 0) {
+        ref_hash = hash;
+        ref_bytes = blif.size();
+        ref_gates = res.result.netlist.num_gates();
+      } else if (hash != ref_hash || blif.size() != ref_bytes) {
+        std::fprintf(stderr,
+                     "bench_pipeline: DETERMINISM VIOLATION — cli at %u "
+                     "threads differs from 1 thread\n",
+                     kThreads[t]);
+        identical = false;
+      }
+      if (!ok) {
+        std::fprintf(stderr, "bench_pipeline: cli verification failed\n");
+        identical = false;
+      }
+      Cell& c = cells[t];
+      if (c.wall.empty() || wall < *std::ranges::min_element(c.wall)) {
+        c.phases = bench::phases_json(profile);
+        double covered = 0.0;
+        for (const obs::PhaseSummary& p : profile.phases) covered += p.seconds;
+        if (t == 0) ref_coverage = covered / profile.total_seconds;
+      }
+      c.label_min = std::min(c.label_min, phase_seconds(profile, "label"));
+      c.wall.push_back(wall);
+      std::fprintf(stderr, "bench_pipeline: cli %ut rep %u: %.3fs\n",
+                   kThreads[t], r, wall);
+    }
+  }
+  std::filesystem::remove(path);
+
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "{\"name\": \"cli\", \"blif_in_bytes\": %zu, "
+                "\"gates\": %zu, \"blif_bytes\": %zu, "
+                "\"blif_fnv1a\": \"%016llx\", "
+                "\"phase_coverage_1t\": %.4f, \"threads\": [",
+                blif_in_bytes, ref_gates, ref_bytes,
+                static_cast<unsigned long long>(ref_hash), ref_coverage);
+  std::string json = buf;
+  for (std::size_t t = 0; t < cells.size(); ++t) {
+    std::vector<double> w = cells[t].wall;
+    std::sort(w.begin(), w.end());
+    std::snprintf(buf, sizeof buf,
+                  "%s{\"threads\": %u, \"wall_s_min\": %.3f, "
+                  "\"wall_s_median\": %.3f, \"label_s_min\": %.3f, "
+                  "\"phases_fastest\": ",
+                  t ? ", " : "", kThreads[t], w.front(), w[w.size() / 2],
+                  cells[t].label_min);
+    json += buf + cells[t].phases + "}";
+  }
+  return json + "]}";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -162,8 +270,12 @@ int main(int argc, char** argv) {
                      bench::build_meta_json() +
                      ", \"reps\": " + std::to_string(reps) +
                      ", \"subjects\": [";
-  json += sweep("random", make_random_subject_graph(1'000'000, 256, 256, 1),
-                lib, reps, identical);
+  {
+    Network random = make_random_subject_graph(1'000'000, 256, 256, 1);
+    json += sweep("random", random, lib, reps, identical);
+    json += ", ";
+    json += cli_sweep(random, reps, identical);
+  }
   json += ", ";
   json += sweep("multiplier", tech_decompose(make_array_multiplier(256)), lib,
                 reps, identical);

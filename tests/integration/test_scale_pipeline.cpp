@@ -1,15 +1,23 @@
 // Scale tier: the mapping pipeline end-to-end on large random subject
-// graphs (gen/make_random_subject_graph), 1 thread against 4.  The ~100k
-// smoke runs in the default tier (CTest label `scale`); the 1M-node run
-// only fires in the `long` CTest configuration (`ctest -C long -L
-// fuzz-long`), gated here by the DAGMAP_SCALE_LONG environment variable.
+// graphs (gen/make_random_subject_graph), 1 thread against 4, and the
+// phase coverage of a dagmap_cli-shaped job.  The ~100k runs are in the
+// default tier (CTest label `scale`); the 1M-node run only fires in the
+// `long` CTest configuration (`ctest -C long -L fuzz-long`), gated here
+// by the DAGMAP_SCALE_LONG environment variable.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <string>
 
 #include "core/dag_mapper.hpp"
 #include "gen/circuits.hpp"
+#include "io/blif.hpp"
+#include "libcache/request.hpp"
 #include "library/standard_libs.hpp"
+#include "mapnet/write.hpp"
+#include "obs/obs.hpp"
 
 namespace dagmap {
 namespace {
@@ -40,6 +48,49 @@ void expect_scale_identity(std::size_t num_nodes, std::uint64_t seed) {
 
 TEST(ScalePipeline, HundredKNodeSmoke) {
   expect_scale_identity(100000, 0x5CA1E);
+}
+
+TEST(ScalePipeline, CliJobPhasesCoverItsWallTime) {
+  // The steps of `dagmap_cli --library lib2.genlib --profile --out`, in
+  // its scopes: read -> library.build -> decompose -> map phases ->
+  // verify -> write.  Their top-level phases must account for at least
+  // 98 % of the session; the times themselves are not checked.
+  std::string path = ::testing::TempDir() + "scale_cli_job.blif";
+  write_blif_file(make_random_subject_graph(100000, 256, 256, 1), path);
+  MapRequest req;
+  req.verify = true;
+  req.map.profile = true;
+
+  obs::start();
+  Network circuit = [&] {
+    obs::Scope scope("read");
+    return read_blif_file(path);
+  }();
+  CompiledLibrary lib = [] {
+    obs::Scope scope("library.build");
+    return compile_library(lib2_genlib_text(), {}, "lib2-like");
+  }();
+  RequestResult r = run_request(circuit, lib, req);
+  {
+    obs::Scope scope("write");
+    std::ofstream(path + ".mapped") << write_mapped_blif(r.result.netlist);
+  }
+  obs::stop();
+  obs::ProfileData profile = obs::collect();
+
+  ASSERT_TRUE(r.equivalent.has_value());
+  EXPECT_TRUE(*r.equivalent);
+  double covered = 0.0;
+  for (const obs::PhaseSummary& p : profile.phases) covered += p.seconds;
+  EXPECT_GE(covered, 0.98 * profile.total_seconds) << profile.summary();
+  for (const char* phase : {"read", "library.build", "decompose", "label",
+                            "cover", "verify", "write"}) {
+    bool found = false;
+    for (const obs::PhaseSummary& p : profile.phases) found |= p.name == phase;
+    EXPECT_TRUE(found) << phase << " missing from\n" << profile.summary();
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".mapped").c_str());
 }
 
 TEST(ScaleLong, MillionNodeThreadIdentity) {

@@ -1,6 +1,7 @@
 // dagmap_cli flags: every integer value goes through one from_chars
 // parser, so a malformed value is a usage error (exit 2) that names the
-// flag and the value, never a bare "stoul" exception.  Mapping knobs
+// flag and the value, never a bare "stoul" exception.  dagmap_verify's
+// --supergates goes through the same request-table row.  Mapping knobs
 // pass the range check shared with serve (validate_map_options), and
 // none is silently ignored: each either acts on both backends or is a
 // usage error.
@@ -20,8 +21,8 @@ struct CliRun {
   std::string output;  ///< stdout and stderr
 };
 
-CliRun run_cli(const std::string& args) {
-  std::string cmd = std::string("'") + DAGMAP_CLI_PATH + "' " + args + " 2>&1";
+CliRun run_tool(const char* path, const std::string& args) {
+  std::string cmd = std::string("'") + path + "' " + args + " 2>&1";
   CliRun r;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return r;
@@ -31,6 +32,8 @@ CliRun run_cli(const std::string& args) {
   if (WIFEXITED(status)) r.exit_code = WEXITSTATUS(status);
   return r;
 }
+
+CliRun run_cli(const std::string& args) { return run_tool(DAGMAP_CLI_PATH, args); }
 
 struct BadFlag {
   const char* args;
@@ -95,6 +98,33 @@ TEST(CliNumericFlags, WellFormedValuesParse) {
   EXPECT_EQ(r.exit_code, 2) << r.output;
   EXPECT_NE(r.output.find("error: no circuit file"), std::string::npos)
       << r.output;
+}
+
+TEST(VerifyFlags, SupergateDepthIsAUsageErrorNamingTheFlag) {
+  // Only missing files: a build that accepted the value would fail to
+  // read the golden netlist before any supergate generation started.
+  const std::string files =
+      " --library missing.genlib missing_golden.blif missing_mapped.blif";
+  for (const BadFlag& flag :
+       {BadFlag{"--supergates=x", "error: bad --supergates value `x` (want 0..8)"},
+        BadFlag{"--supergates=-1", "error: bad --supergates value `-1`"},
+        BadFlag{"--supergates=99999999999",
+                "error: bad --supergates value `99999999999`"},
+        BadFlag{"--supergates=9",
+                "error: --supergates: bad supergate depth 9 (want 0..8)"}}) {
+    CliRun r = run_tool(DAGMAP_VERIFY_PATH, flag.args + files);
+    EXPECT_EQ(r.exit_code, 2) << flag.args << ": " << r.output;
+    EXPECT_NE(r.output.find(flag.message), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find("usage: dagmap_verify"), std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("stoul"), std::string::npos) << r.output;
+  }
+  // A good value parses; the missing golden netlist is the complaint.
+  CliRun ok = run_tool(DAGMAP_VERIFY_PATH, "--supergates=2" + files);
+  EXPECT_EQ(ok.exit_code, 2) << ok.output;
+  EXPECT_NE(ok.output.find("cannot open BLIF file missing_golden.blif"),
+            std::string::npos)
+      << ok.output;
 }
 
 std::string golden(const std::string& rel) {

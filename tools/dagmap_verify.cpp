@@ -13,14 +13,27 @@
 // is the invariant technology mapping must preserve.  Exit code: 0
 // equivalent, 1 not, 2 usage/IO error.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "dagmap/dagmap.hpp"
+#include "libcache/request.hpp"
 #include "mapnet/write.hpp"
 #include "supergate/supergate.hpp"
 
 using namespace dagmap;
+
+namespace {
+
+const char kUsage[] =
+    "usage: dagmap_verify [--library lib.genlib [--supergates[=D]]] "
+    "golden.blif revised.blif\n";
+
+int usage_error(const std::string& msg) {
+  std::fprintf(stderr, "error: %s\n%s", msg.c_str(), kUsage);
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) try {
   std::string library_path;
@@ -29,29 +42,27 @@ int main(int argc, char** argv) try {
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--library") {
-      if (++i >= argc) {
-        std::fprintf(stderr, "missing --library value\n");
-        return 2;
-      }
+      if (++i >= argc) return usage_error("missing --library value");
       library_path = argv[i];
-    } else if (a == "--supergates") {
-      supergate_depth = 2;
-    } else if (a.rfind("--supergates=", 0) == 0) {
-      supergate_depth = std::stoul(a.substr(std::strlen("--supergates=")));
+    } else if (a == "--supergates" || a.starts_with("--supergates=")) {
+      // The request table's supergates row: its parser and range check.
+      MapRequest req;
+      std::string error;
+      parse_request_flag(argc, argv, i, req, req, error);
+      if (error.empty() && !(error = validate_request(req)).empty())
+        error = "--supergates: " + error;
+      if (!error.empty()) return usage_error(error);
+      supergate_depth = req.supergates;
     } else {
       files.push_back(a);
     }
   }
   if (files.size() != 2) {
-    std::fprintf(stderr,
-                 "usage: dagmap_verify [--library lib.genlib "
-                 "[--supergates[=D]]] golden.blif revised.blif\n");
+    std::fputs(kUsage, stderr);
     return 2;
   }
-  if (supergate_depth > 0 && library_path.empty()) {
-    std::fprintf(stderr, "--supergates requires --library\n");
-    return 2;
-  }
+  if (supergate_depth > 0 && library_path.empty())
+    return usage_error("--supergates requires --library");
 
   Network golden = read_blif_file(files[0]);
   Network revised;

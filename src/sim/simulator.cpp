@@ -353,22 +353,25 @@ Program::Program(const Network& net) {
     return k != NodeKind::PrimaryInput && k != NodeKind::Latch;
   };
 
-  // Live nodes: the outputs' transitive fanin.  last[id] is the id of
-  // the node's last reader (kForever for outputs), so that a reverse
-  // sweep marks liveness and a forward one releases slots.
+  // One reverse sweep finds the live nodes (the outputs' transitive
+  // fanin) and each one's last reader: the first reader met going down
+  // has the highest id.  last[id] is that reader's id, kForever for an
+  // output, and kDead (no reader; 0 is nobody's reader id) otherwise.
   constexpr std::uint32_t kDead = 0, kForever = 0xFFFFFFFFu;
   std::vector<std::uint32_t> last(n, kDead);
-  std::vector<std::uint8_t> live(n, 0);
-  for (const Output& o : net.outputs()) live[o.node] = 1;
-  for (NodeId l : net.latches()) live[latch_d(l)] = 1;
-  for (NodeId id = static_cast<NodeId>(n); id-- > 0;)
-    if (live[id] && evaluated(id))
-      for (NodeId f : net.fanins(id)) live[f] = 1;
-  for (NodeId id = 0; id < n; ++id)
-    if (live[id] && evaluated(id))
-      for (NodeId f : net.fanins(id)) last[f] = id;
   for (const Output& o : net.outputs()) last[o.node] = kForever;
   for (NodeId l : net.latches()) last[latch_d(l)] = kForever;
+  std::size_t num_steps = 0, num_fanins = 0;
+  for (NodeId id = static_cast<NodeId>(n); id-- > 0;) {
+    if (last[id] == kDead || !evaluated(id)) continue;
+    ++num_steps;
+    for (NodeId f : net.fanins(id)) {
+      if (last[f] == kDead) last[f] = id;
+      ++num_fanins;
+    }
+  }
+  steps_.reserve(num_steps);
+  fanin_slots_.reserve(num_fanins);
 
   std::vector<std::uint32_t> slot(n, kNoSlot);
   std::vector<std::uint32_t> free_slots;
@@ -383,12 +386,14 @@ Program::Program(const Network& net) {
   for (std::size_t i = 0; i < source_slots_.size(); ++i) {
     NodeId id = i < net.num_inputs() ? net.inputs()[i]
                                      : net.latches()[i - net.num_inputs()];
-    if (live[id]) source_slots_[i] = slot[id] = allocate();
+    if (last[id] != kDead) source_slots_[i] = slot[id] = allocate();
   }
 
   std::unordered_map<TruthTable, std::uint32_t, TruthTableHash> by_table;
   for (NodeId id = 0; id < n; ++id) {
-    if (!live[id] || !evaluated(id)) continue;
+    // A node's own entry in last[] is only cleared by its readers, which
+    // come later, so here it still tells whether the node is live.
+    if (last[id] == kDead || !evaluated(id)) continue;
     std::span<const NodeId> fi = net.fanins(id);
     Step step{function_of(net, id, by_table), allocate(),
               static_cast<std::uint32_t>(fanin_slots_.size())};

@@ -114,8 +114,8 @@ Network tech_decompose(const Network& src, const TechDecompOptions& options) {
           DAGMAP_ASSERT_MSG(false, "source not pre-mapped");
       }
     }
-    obs::counter_add("decompose.functions_lowered", memo.functions_lowered());
   }
+  obs::counter_add("decompose.functions_lowered", memo.functions_lowered());
 
   for (std::size_t i = 0; i < src.latches().size(); ++i) {
     NodeId l = src.latches()[i];
@@ -124,12 +124,15 @@ Network tech_decompose(const Network& src, const TechDecompOptions& options) {
   }
   for (const Output& o : src.outputs()) out.add_output(map[o.node], o.name);
 
-  obs::Scope clean_scope("decompose.clean");
-  auto [clean, remap] = out.cleaned_copy();
-  clean.check();
-  DAGMAP_ASSERT(clean.is_subject_graph());
+  Network clean = [&] {
+    obs::Scope clean_scope("decompose.clean");
+    Network c = out.cleaned_copy().first;
+    c.check();
+    DAGMAP_ASSERT(c.is_subject_graph());
+    return c;
+  }();
   obs::counter_add("decompose.subject_nodes", clean.num_internal());
-  return std::move(clean);
+  return clean;
 }
 
 }  // namespace dagmap

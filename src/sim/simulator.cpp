@@ -253,10 +253,11 @@ class Program {
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
+  /// The fanin slots of the steps follow each other in fanin_slots_, so
+  /// a step's fanins start where the previous step's end.
   struct Step {
     std::uint32_t function;
-    std::uint32_t out;     ///< output slot
-    std::uint32_t fanins;  ///< offset of the fanin slots in fanin_slots_
+    std::uint32_t out;  ///< output slot
   };
 
   std::uint32_t function_of(const Network& net, NodeId id,
@@ -277,12 +278,12 @@ class Program {
     for (std::size_t s = 0; s < source_slots_.size(); ++s)
       if (source_slots_[s] != kNoSlot)
         std::copy_n(src + s * NW, NW, values + source_slots_[s] * NW);
+    const std::uint32_t* fs = fanin_slots_.data();
     for (const Step& step : steps_) {
       const Function& f = functions_[step.function];
       reg[0] = values + std::size_t{step.out} * NW;
-      const std::uint32_t* fs = fanin_slots_.data() + step.fanins;
       for (std::size_t i = 0; i < f.arity; ++i)
-        reg[kFirstFanin + i] = values + std::size_t{fs[i]} * NW;
+        reg[kFirstFanin + i] = values + std::size_t{*fs++} * NW;
       const Op* ops = ops_.data() + f.first_op;
       run_ops<NW>(ops, ops + f.num_ops, reg);
     }
@@ -395,8 +396,7 @@ Program::Program(const Network& net) {
     // come later, so here it still tells whether the node is live.
     if (last[id] == kDead || !evaluated(id)) continue;
     std::span<const NodeId> fi = net.fanins(id);
-    Step step{function_of(net, id, by_table), allocate(),
-              static_cast<std::uint32_t>(fanin_slots_.size())};
+    Step step{function_of(net, id, by_table), allocate()};
     slot[id] = step.out;
     for (NodeId f : fi) fanin_slots_.push_back(slot[f]);
     steps_.push_back(step);
@@ -487,9 +487,9 @@ EquivalenceResult check_equivalence(const Network& a, const Network& b,
     obs::Scope scope("verify.compile");
     pa.emplace(a);
     pb.emplace(b);
-    obs::counter_add("verify.program_ops",
-                     pa->ops_per_pass() + pb->ops_per_pass());
   }
+  obs::counter_add("verify.program_ops",
+                   pa->ops_per_pass() + pb->ops_per_pass());
   obs::Scope scope("verify.simulate");
 
   // Rounds of 64 vectors, in the order a one-word-per-round check would

@@ -9,25 +9,38 @@
 
 namespace dagmap {
 
+NetworkNandBuilder::NetworkNandBuilder(Network& net,
+                                       std::size_t expected_nodes)
+    : net_(net) {
+  grow_strash(2 * expected_nodes);
+}
+
+void NetworkNandBuilder::grow_strash(std::size_t capacity) {
+  std::size_t size = 1024;
+  while (size < capacity) size *= 2;
+  if (size <= strash_.size()) return;
+  std::vector<Entry> old(size);
+  old.swap(strash_);
+  strash_size_ = 0;
+  for (const Entry& e : old)
+    if (e.key_lo != 0 || e.key_hi != 0)
+      strash_slot(std::uint64_t{e.key_hi} << 32 | e.key_lo) = e.node;
+}
+
 NodeId& NetworkNandBuilder::strash_slot(std::uint64_t key) {
-  if (2 * (strash_size_ + 1) > strash_.size()) {
-    std::vector<std::pair<std::uint64_t, NodeId>> old(
-        std::max<std::size_t>(1024, 2 * strash_.size()));
-    old.swap(strash_);
-    strash_size_ = 0;
-    for (const auto& [k, node] : old)
-      if (k != 0) strash_slot(k) = node;
-  }
+  if (2 * (strash_size_ + 1) > strash_.size())
+    grow_strash(2 * strash_.size());
+  auto lo = static_cast<std::uint32_t>(key);
+  auto hi = static_cast<std::uint32_t>(key >> 32);
   std::size_t mask = strash_.size() - 1;
   for (std::size_t i = (key * 0x9E3779B97F4A7C15ull) >> 20 & mask;;
        i = (i + 1) & mask) {
-    auto& [k, node] = strash_[i];
-    if (k == key) return node;
-    if (k == 0) {
-      k = key;
-      node = kNullNode;
+    Entry& e = strash_[i];
+    if (e.key_lo == lo && e.key_hi == hi) return e.node;
+    if (e.key_lo == 0 && e.key_hi == 0) {
+      e = {lo, hi, kNullNode};
       ++strash_size_;
-      return node;
+      return e.node;
     }
   }
 }
@@ -69,7 +82,8 @@ Network tech_decompose(const Network& src, const TechDecompOptions& options) {
   obs::Scope obs_scope("decompose");
   Network out(src.name());
   std::vector<NodeId> map(src.size(), kNullNode);
-  NetworkNandBuilder builder(out);
+  // About two NAND2/INV nodes per source node.
+  NetworkNandBuilder builder(out, 2 * src.num_internal());
   LoweringMemo memo([&](const TruthTable& f,
                         const std::vector<std::string>& vars) {
     std::vector<std::pair<Expr, DecompShape>> v;

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "decomp/lowering.hpp"
@@ -35,20 +34,30 @@ Network tech_decompose(const Network& src, const TechDecompOptions& options = {}
 /// (decomp/lowering_memo.hpp).
 class NetworkNandBuilder {
  public:
-  explicit NetworkNandBuilder(Network& net) : net_(net) {}
+  /// `expected_nodes` sizes the strash table for about that many
+  /// NAND2/INV nodes, so it need not grow while they are built.
+  explicit NetworkNandBuilder(Network& net, std::size_t expected_nodes = 0);
 
   NodeId make_nand2(NodeId a, NodeId b);
   NodeId make_inv(NodeId a);
   NodeId make_const(bool value);
 
  private:
-  /// The strash slot of `key` (a nonzero structural key): its node, or
-  /// kNullNode to be filled in.
+  /// One strash entry: a nonzero structural key, split in two words so
+  /// that an entry is 12 bytes, and its node.
+  struct Entry {
+    std::uint32_t key_lo = 0, key_hi = 0;
+    NodeId node = kNullNode;
+  };
+
+  /// The node of `key` (a nonzero structural key), or kNullNode to be
+  /// filled in.
   NodeId& strash_slot(std::uint64_t key);
+  void grow_strash(std::size_t capacity);
 
   Network& net_;
-  /// Open-addressed (key, node) table; key 0 marks an empty slot.
-  std::vector<std::pair<std::uint64_t, NodeId>> strash_;
+  /// Open-addressed table; key 0 marks an empty entry.
+  std::vector<Entry> strash_;
   std::size_t strash_size_ = 0;
   NodeId const0_ = kNullNode;
   NodeId const1_ = kNullNode;

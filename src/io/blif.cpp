@@ -40,7 +40,8 @@ TruthTable cover_to_truth_table(unsigned nv, std::span<const CoverRow> cover,
     if (plane.size() != nv) throw named("cover row width mismatch for ");
     if (out == '0') on_set = false;
   }
-  TruthTable t(nv);
+  // An OFF-set cover clears its cubes from the constant-1 table.
+  TruthTable t = TruthTable::constant(!on_set, nv);
   for (auto& [plane, out] : cover) {
     if ((out == '1') != on_set) throw named("mixed ON/OFF cover for ");
     // Expand cube with '-' don't-cares.
@@ -60,11 +61,10 @@ TruthTable cover_to_truth_table(unsigned nv, std::span<const CoverRow> cover,
       std::size_t m = base;
       for (unsigned j = 0; j < num_free; ++j)
         if ((k >> j) & 1) m |= std::size_t{1} << free_vars[j];
-      t.set_bit(m, true);
+      t.set_bit(m, on_set);
     }
   }
-  if (cover.empty()) on_set = true;  // empty cover = constant 0
-  return on_set ? t : ~t;
+  return t;  // an empty cover is constant 0
 }
 
 }  // namespace

@@ -65,22 +65,25 @@ class BlifLines {
 };
 
 /// Dense ids for the names of a text, interned by view: the i-th distinct
-/// name gets id i.  An open-addressed table of ids, so interning a name
-/// costs one hash and, on a hit, one comparison — no node allocation.
+/// name gets id i.  An open-addressed table of (hash tag, id) pairs, so
+/// interning a name costs one hash and, on a hit, one comparison — no
+/// node allocation, and growing never rereads the names.
 class BlifNames {
  public:
   /// The id of `name`, assigned on first sight.
   std::uint32_t intern(std::string_view name) {
     if (2 * (names_.size() + 1) > slots_.size()) grow();
+    std::size_t hash = std::hash<std::string_view>()(name);
+    auto tag = static_cast<std::uint32_t>(hash);
     std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = std::hash<std::string_view>()(name) & mask;;
-         i = (i + 1) & mask) {
-      if (slots_[i] == 0) {
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.id == 0) {
         names_.push_back(name);
-        slots_[i] = static_cast<std::uint32_t>(names_.size());
-        return slots_[i] - 1;
+        slot = {tag, static_cast<std::uint32_t>(names_.size())};
+        return slot.id - 1;
       }
-      if (names_[slots_[i] - 1] == name) return slots_[i] - 1;
+      if (slot.tag == tag && names_[slot.id - 1] == name) return slot.id - 1;
     }
   }
 
@@ -88,18 +91,27 @@ class BlifNames {
   std::size_t size() const { return names_.size(); }
 
  private:
+  struct Slot {
+    std::uint32_t tag = 0;  ///< low 32 bits of the name's hash
+    std::uint32_t id = 0;   ///< id + 1; 0 marks an empty slot
+  };
+
+  /// Doubles the table; the tags hold the low hash bits that place a
+  /// name (tables stay below 2^32 slots).
   void grow() {
-    slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), 0);
+    std::vector<Slot> old(std::max<std::size_t>(64, 2 * slots_.size()));
+    old.swap(slots_);
     std::size_t mask = slots_.size() - 1;
-    for (std::uint32_t id = 0; id < names_.size(); ++id) {
-      std::size_t i = std::hash<std::string_view>()(names_[id]) & mask;
-      while (slots_[i] != 0) i = (i + 1) & mask;
-      slots_[i] = id + 1;
+    for (const Slot& slot : old) {
+      if (slot.id == 0) continue;
+      std::size_t i = slot.tag & mask;
+      while (slots_[i].id != 0) i = (i + 1) & mask;
+      slots_[i] = slot;
     }
   }
 
   std::vector<std::string_view> names_;
-  std::vector<std::uint32_t> slots_;  ///< id + 1 of the name there; 0 empty
+  std::vector<Slot> slots_;
 };
 
 }  // namespace dagmap

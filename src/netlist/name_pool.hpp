@@ -4,8 +4,8 @@
 // each distinct name once and hands out 32-bit ids.  Id 0 is always the
 // empty string, so unnamed nodes cost one integer.  Strings live in a
 // deque (elements never move); the intern index is an open-addressed
-// table of ids, so interning allocates nothing but the string and a
-// copied pool can copy the index as it is.
+// table of (hash tag, id) pairs, so interning allocates nothing but the
+// string and a copied pool can copy the index as it is.
 #pragma once
 
 #include <cstdint>
@@ -27,15 +27,17 @@ class NamePool {
   std::uint32_t intern(std::string&& name) {
     if (name.empty()) return 0;
     if (2 * pool_.size() > slots_.size()) rehash(2 * slots_.size());
+    std::size_t hash = std::hash<std::string_view>()(name);
+    auto tag = static_cast<std::uint32_t>(hash);
     std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash(name) & mask;; i = (i + 1) & mask) {
-      if (slots_[i] == 0) {
-        auto id = static_cast<std::uint32_t>(pool_.size());
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.id == 0) {
+        slot = {tag, static_cast<std::uint32_t>(pool_.size())};
         pool_.push_back(std::move(name));
-        slots_[i] = id;
-        return id;
+        return slot.id;
       }
-      if (pool_[slots_[i]] == name) return slots_[i];
+      if (slot.tag == tag && pool_[slot.id] == name) return slot.id;
     }
   }
 
@@ -50,25 +52,30 @@ class NamePool {
   std::size_t size() const { return pool_.size(); }
 
  private:
-  static std::size_t hash(std::string_view s) {
-    return std::hash<std::string_view>()(s);
-  }
+  struct Slot {
+    std::uint32_t tag = 0;  ///< low 32 bits of the name's hash
+    std::uint32_t id = 0;   ///< name id; 0 marks an empty slot
+  };
 
   /// Rebuilds the index with at least `capacity` slots (a power of two).
+  /// The tags hold the low hash bits that place a name, so the names are
+  /// not hashed again.
   void rehash(std::size_t capacity) {
     std::size_t size = 16;
     while (size < capacity) size *= 2;
     if (size <= slots_.size()) return;
-    slots_.assign(size, 0);
-    for (std::uint32_t id = 1; id < pool_.size(); ++id) {
-      std::size_t i = hash(pool_[id]) & (size - 1);
-      while (slots_[i] != 0) i = (i + 1) & (size - 1);
-      slots_[i] = id;
+    std::vector<Slot> old(size);
+    old.swap(slots_);
+    for (const Slot& slot : old) {
+      if (slot.id == 0) continue;
+      std::size_t i = slot.tag & (size - 1);
+      while (slots_[i].id != 0) i = (i + 1) & (size - 1);
+      slots_[i] = slot;
     }
   }
 
   std::deque<std::string> pool_;
-  std::vector<std::uint32_t> slots_;  ///< name ids; 0 marks an empty slot
+  std::vector<Slot> slots_;
 };
 
 }  // namespace dagmap

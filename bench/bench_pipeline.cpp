@@ -13,8 +13,8 @@
 //
 // The `cli` row is `dagmap_cli --library lib2 --profile --out` on the
 // random subject written as BLIF: read -> library.build -> decompose ->
-// map -> verify -> write, through `run_request`, in one profiling
-// session per run.  It records the wall time of the whole job and its
+// map -> verify -> write -> release, through `run_request`, in one
+// profiling session per run.  It records the wall time of the whole job and its
 // top-level phases; every run's mapped BLIF must be byte-identical.
 //
 // Each (subject, thread count) cell runs `reps` times, round-robin over
@@ -197,17 +197,23 @@ std::string cli_sweep(const Network& subject, unsigned reps,
         obs::Scope scope("write");
         blif = write_mapped_blif(res.result.netlist);
       }
+      std::size_t gates = res.result.netlist.num_gates();
+      bool ok = res.equivalent.value_or(false);
+      {
+        obs::Scope scope("release");
+        circuit = Network();
+        res = RequestResult();
+      }
       obs::stop();
       obs::ProfileData profile = obs::collect();
       double wall = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
       std::uint64_t hash = libcache::fnv1a64(blif);
-      bool ok = res.equivalent.value_or(false);
       if (r == 0 && t == 0) {
         ref_hash = hash;
         ref_bytes = blif.size();
-        ref_gates = res.result.netlist.num_gates();
+        ref_gates = gates;
       } else if (hash != ref_hash || blif.size() != ref_bytes) {
         std::fprintf(stderr,
                      "bench_pipeline: DETERMINISM VIOLATION — cli at %u "

@@ -39,6 +39,15 @@ class Recorder : public NandSink {
   std::span<const std::string> vars_;
 };
 
+/// Records `lower_expr(e, shape, ·)`; the leaf named vars[i] is fanin i.
+NandRecording record_lowering(const Expr& e, DecompShape shape,
+                              std::span<const std::string> vars) {
+  NandRecording r;
+  Recorder recorder(r, vars);
+  r.root = lower_expr(e, shape, recorder);
+  return r;
+}
+
 }  // namespace
 
 NodeId NandRecording::replay(NetworkNandBuilder& builder,
@@ -61,14 +70,6 @@ NodeId NandRecording::replay(NetworkNandBuilder& builder,
     }
   }
   return values[root];
-}
-
-NandRecording record_lowering(const Expr& e, DecompShape shape,
-                              std::span<const std::string> vars) {
-  NandRecording r;
-  Recorder recorder(r, vars);
-  r.root = lower_expr(e, shape, recorder);
-  return r;
 }
 
 std::span<const NandRecording> LoweringMemo::get(const TruthTable& f) {

@@ -42,10 +42,6 @@ struct NandRecording {
                 std::vector<NodeId>& values) const;
 };
 
-/// Records `lower_expr(e, shape, ·)`; the leaf named vars[i] is fanin i.
-NandRecording record_lowering(const Expr& e, DecompShape shape,
-                              std::span<const std::string> vars);
-
 /// The recorded lowerings of every distinct function one decomposition
 /// meets, computed on first use.
 class LoweringMemo {
@@ -64,12 +60,8 @@ class LoweringMemo {
   std::size_t functions_lowered() const { return by_function_.size(); }
 
  private:
-  struct Hash {
-    std::size_t operator()(const TruthTable& t) const { return t.hash(); }
-  };
-
   Variants variants_;
-  std::unordered_map<TruthTable, std::vector<NandRecording>, Hash>
+  std::unordered_map<TruthTable, std::vector<NandRecording>, TruthTableHash>
       by_function_;
 };
 

@@ -2,9 +2,9 @@
 
 #include <fstream>
 #include <span>
+#include <sstream>
 #include <string_view>
 #include <unordered_map>
-#include <sstream>
 
 #include "io/blif_lines.hpp"
 #include "io/expr.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <unordered_map>
 
 #include "netlist/assert.hpp"
 
@@ -171,9 +172,12 @@ double MappedNetlist::total_area() const {
 }
 
 std::map<std::string, std::size_t> MappedNetlist::gate_histogram() const {
-  std::map<std::string, std::size_t> h;
+  // Count per gate, then look each distinct gate's name up once.
+  std::unordered_map<const Gate*, std::size_t> per_gate;
   for (InstId id = 0; id < kinds_.size(); ++id)
-    if (kinds_[id] == Instance::Kind::GateInst) ++h[gates_[id]->name];
+    if (kinds_[id] == Instance::Kind::GateInst) ++per_gate[gates_[id]];
+  std::map<std::string, std::size_t> h;
+  for (auto [gate, n] : per_gate) h[gate->name] += n;
   return h;
 }
 

@@ -121,4 +121,9 @@ class TruthTable {
   std::vector<std::uint64_t> words_;
 };
 
+/// Hash functor for unordered containers keyed by truth table.
+struct TruthTableHash {
+  std::size_t operator()(const TruthTable& t) const { return t.hash(); }
+};
+
 }  // namespace dagmap

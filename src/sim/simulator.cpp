@@ -28,10 +28,6 @@ struct Rng {
   }
 };
 
-struct TruthTableHash {
-  std::size_t operator()(const TruthTable& t) const { return t.hash(); }
-};
-
 /// 64-bit words each op runs over in one pass: one word per simulation
 /// round, so a pass simulates up to this many rounds.
 constexpr std::size_t kPassWords = 16;

@@ -88,7 +88,6 @@ class BlifNames {
   }
 
   std::string_view name(std::uint32_t id) const { return names_[id]; }
-  std::size_t size() const { return names_.size(); }
 
  private:
   struct Slot {
